@@ -41,7 +41,7 @@ const std::vector<ElemList>& Workload(std::size_t k) {
 void RegisterAll() {
   const std::vector<std::string> algorithms = {
       "Merge", "SkipList",   "Hash",         "Adaptive", "SvS",
-      "Lookup", "RanGroup",  "RanGroupScan2"};
+      "Lookup", "RanGroup",  "RanGroupScan:m=2"};
   for (const auto& alg : algorithms) {
     for (std::size_t k : {2u, 3u, 4u}) {
       std::string label = "fig06/" + alg + "/k:" + std::to_string(k);

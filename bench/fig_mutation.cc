@@ -26,9 +26,13 @@
 //                                   the fill:0 baseline again;
 //   mutation/compact_cost/fill:F    one synchronous Compact() of an F%
 //                                   delta (rebuild + publish);
+//   mutation/contains/fill:F        Contains() point lookups per second
+//                                   on a set carrying an F% delta (a
+//                                   probe mix of base members, erased
+//                                   members, inserted values and misses);
 //   mutation/insert_throughput      Insert() calls per second against a
-//                                   large base (delta skip-list + COW
-//                                   publish per call).
+//                                   large base (COW delta publish per
+//                                   call).
 //
 //   ./build/bench/fig_mutation
 //   ./build/bench/fig_mutation --benchmark_format=json  # CI artifact
@@ -160,6 +164,42 @@ void CompactCost(benchmark::State& state) {
   state.counters["base_n"] = static_cast<double>(w.base.size());
 }
 
+void ContainsProbe(benchmark::State& state) {
+  const int fill_pct = static_cast<int>(state.range(0));
+  const Workload& w = Workload::Get();
+  Engine engine;
+  PreparedSet target =
+      engine.PrepareMutable(w.base, {.background_compaction = false});
+  FillDelta(target, fill_pct);
+  // Probe mix, cycled: odd-index elements from the low end of the base
+  // (the ones FillDelta erases first), the high end of the base (never
+  // erased), the low end of the fresh pool (the ones FillDelta inserts
+  // first) and its high end (never inserted).
+  Xoshiro256 rng(0xc0417a1eULL);
+  std::vector<Elem> probes;
+  constexpr std::size_t kProbes = 4096;
+  const std::size_t n = w.base.size();
+  for (std::size_t i = 0; i < kProbes; ++i) {
+    std::size_t j = static_cast<std::size_t>(rng.Next() % (n / 8));
+    switch (i % 4) {
+      case 0: probes.push_back(w.base[2 * j + 1]); break;
+      case 1: probes.push_back(w.base[n - 1 - j]); break;
+      case 2: probes.push_back(w.fresh[j]); break;
+      default: probes.push_back(w.fresh[n - 1 - j]); break;
+    }
+  }
+  std::size_t i = 0;
+  std::size_t hits = 0;
+  for (auto _ : state) {
+    hits += target.Contains(probes[i]) ? 1 : 0;
+    i = (i + 1) % kProbes;
+  }
+  benchmark::DoNotOptimize(hits);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["fill_pct"] = static_cast<double>(fill_pct);
+  state.counters["delta"] = static_cast<double>(target.delta_size());
+}
+
 void InsertThroughput(benchmark::State& state) {
   const Workload& w = Workload::Get();
   Engine engine;
@@ -207,6 +247,12 @@ void RegisterAll() {
     benchmark::RegisterBenchmark(label.c_str(), CompactCost)
         ->Arg(fill)
         ->Unit(benchmark::kMillisecond);
+  }
+  for (int fill : {0, 10}) {
+    std::string label = "mutation/contains/fill:" + std::to_string(fill);
+    benchmark::RegisterBenchmark(label.c_str(), ContainsProbe)
+        ->Arg(fill)
+        ->Unit(benchmark::kNanosecond);
   }
   benchmark::RegisterBenchmark("mutation/insert_throughput", InsertThroughput)
       ->Unit(benchmark::kMicrosecond);

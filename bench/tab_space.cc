@@ -43,7 +43,7 @@ int main() {
       {"Hash", "linear-probing table, load 1/2"},
       {"BPP", "16-bit codes"},
       {"IntGroup", "paper: +75%"},
-      {"RanGroupScan2", "m=2; paper: +37%"},
+      {"RanGroupScan:m=2", "paper: +37%"},
       {"RanGroupScan", "m=4; paper: +63%"},
       {"RanGroup", "multi-resolution (Thm 3.4/3.5 support)"},
       {"HashBin", "g-ordered values only"},

@@ -21,8 +21,7 @@ void RunScenario(const char* title, const std::vector<fsi::ElemList>& lists) {
   std::printf("\n%s\n", title);
   std::printf("%-22s %10s %12s %12s\n", "algorithm", "time(us)", "result",
               "struct(KiB)");
-  for (auto name : AlgorithmRegistry::Global().Names(/*compressed=*/false,
-                                                     /*include_hidden=*/false)) {
+  for (auto name : AlgorithmRegistry::Global().Names(/*compressed=*/false)) {
     Engine engine(name);
     if (lists.size() > engine.max_query_sets()) continue;
     std::vector<PreparedSet> prepared;

@@ -88,7 +88,7 @@ void ListAlgorithms() {
   std::printf("%-22s %-10s %-6s %-5s %s\n", "name", "structure", "max-k",
               "cost", "options (always: seed=<int>)");
   for (const fsi::AlgorithmDescriptor* d :
-       fsi::AlgorithmRegistry::Global().Descriptors(/*include_hidden=*/true)) {
+       fsi::AlgorithmRegistry::Global().Descriptors()) {
     std::string max_k = d->max_query_sets == SIZE_MAX
                             ? "any"
                             : std::to_string(d->max_query_sets);

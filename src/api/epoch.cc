@@ -185,23 +185,10 @@ std::uint64_t BackgroundCompactor::completed() const {
 // ---------------------------------------------------------------------------
 // MutableSetCore
 
-namespace {
-
-/// Skip-list retire hook: route unlinked nodes through the epoch manager
-/// (every skip-list operation in this file runs under an EpochGuard).
-void RetireSkipListNode(void* /*context*/, void* node, void (*deleter)(void*)) {
-  EpochManager::Global().Retire(node, deleter);
-}
-
-}  // namespace
-
 MutableSetCore::MutableSetCore(
     std::shared_ptr<const IntersectionAlgorithm> algorithm, ElemList base,
     MutableSetOptions options)
-    : algorithm_(std::move(algorithm)),
-      options_(options),
-      staged_inserts_(&RetireSkipListNode, nullptr),
-      staged_erases_(&RetireSkipListNode, nullptr) {
+    : algorithm_(std::move(algorithm)), options_(options) {
   auto* state = new MutableSetState();
   state->base = std::make_shared<const ElemList>(std::move(base));
   state->structure =
@@ -220,21 +207,12 @@ MutableSetCore::~MutableSetCore() {
 }
 
 bool MutableSetCore::Insert(Elem value) {
-  EpochGuard guard;  // covers the skip-list mutation (node retirement)
+  EpochGuard guard;  // keeps `current` alive across its retirement below
   std::lock_guard<std::mutex> lock(writer_mutex_);
   const MutableSetState* current = state_.load(std::memory_order_acquire);
   std::optional<DeltaSnapshot> next_delta =
       DeltaInsert(*current->base, current->delta, value);
   if (!next_delta.has_value()) return false;
-  // Mirror the delta into the point-lookup tier before publishing; either
-  // order is linearizable (Contains never reads the published delta), but
-  // mirroring first keeps the "skip lists == published delta" invariant
-  // trivially inductive under writer_mutex_.
-  if (next_delta->erases != current->delta.erases) {
-    staged_erases_.Erase(value);  // the insert revoked a tombstone
-  } else {
-    staged_inserts_.Insert(value);
-  }
   MutableSetState next{current->structure, current->base,
                        std::move(*next_delta), current->live_size + 1,
                        current->version + 1};
@@ -249,11 +227,6 @@ bool MutableSetCore::Erase(Elem value) {
   std::optional<DeltaSnapshot> next_delta =
       DeltaErase(*current->base, current->delta, value);
   if (!next_delta.has_value()) return false;
-  if (next_delta->inserts != current->delta.inserts) {
-    staged_inserts_.Erase(value);  // the erase revoked a pending insert
-  } else {
-    staged_erases_.Insert(value);
-  }
   MutableSetState next{current->structure, current->base,
                        std::move(*next_delta), current->live_size - 1,
                        current->version + 1};
@@ -263,17 +236,12 @@ bool MutableSetCore::Erase(Elem value) {
 
 bool MutableSetCore::Contains(Elem value) const {
   EpochGuard guard;
-  // Probe order matters against compaction, which publishes the rebuilt
-  // base *before* clearing the staged lists: a probe that misses a staged
-  // entry because compaction removed it observes (through the unlink it
-  // read) a state whose base already absorbed that entry.
-  if (staged_erases_.Contains(value)) return false;
-  if (staged_inserts_.Contains(value)) return true;
-  const MutableSetState* current = state_.load(std::memory_order_acquire);
-  const ElemList& base = *current->base;
-  const simd::Kernels& kernels = simd::DispatchedKernels();
-  std::size_t i = kernels.lower_bound(base.data(), base.size(), value);
-  return i < base.size() && base[i] == value;
+  // One published state answers the whole probe: its base and delta were
+  // published together, so a concurrent compaction is either entirely
+  // before or entirely after this load.
+  const MutableSetState* s = state_.load(std::memory_order_acquire);
+  return EffectiveContains(*s->base, s->delta, value,
+                           simd::DispatchedKernels());
 }
 
 MutableSetState MutableSetCore::Snapshot() const {
@@ -334,7 +302,7 @@ void MutableSetCore::RunBackgroundCompaction() {
   }
   bool rearm = false;
   {
-    EpochGuard guard;  // covers the staged-list cleanup
+    EpochGuard guard;  // keeps `current` alive across its retirement below
     std::lock_guard<std::mutex> lock(writer_mutex_);
     const MutableSetState* current = state_.load(std::memory_order_acquire);
     if (structure != nullptr && current->version == snap.version) {
@@ -347,12 +315,6 @@ void MutableSetCore::RunBackgroundCompaction() {
       const MutableSetState* old =
           state_.exchange(fresh, std::memory_order_acq_rel);
       EpochManager::Global().Retire(old);
-      // Clear the staged mirrors only *after* the publish above: a
-      // Contains that misses an entry here synchronizes (through the
-      // unlink CAS it observed) with the publication, so its base probe
-      // sees the compacted state.
-      for (Elem e : snap.delta.insert_span()) staged_inserts_.Erase(e);
-      for (Elem e : snap.delta.erase_span()) staged_erases_.Erase(e);
     } else {
       rearm = true;  // a mutation won the race; re-check the trigger
     }
@@ -367,8 +329,7 @@ void MutableSetCore::Compact() {
   std::lock_guard<std::mutex> lock(writer_mutex_);
   const MutableSetState* current = state_.load(std::memory_order_acquire);
   if (current->delta.empty()) return;
-  DeltaSnapshot old_delta = current->delta;
-  ElemList effective = MergeEffective(*current->base, old_delta);
+  ElemList effective = MergeEffective(*current->base, current->delta);
   MutableSetState next;
   next.structure = std::shared_ptr<const PreprocessedSet>(
       algorithm_->Preprocess(effective));
@@ -379,8 +340,6 @@ void MutableSetCore::Compact() {
   const MutableSetState* old =
       state_.exchange(fresh, std::memory_order_acq_rel);
   EpochManager::Global().Retire(old);
-  for (Elem e : old_delta.insert_span()) staged_inserts_.Erase(e);
-  for (Elem e : old_delta.erase_span()) staged_erases_.Erase(e);
 }
 
 void MutableSetCore::WaitForCompaction() const {

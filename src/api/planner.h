@@ -40,7 +40,7 @@
 // step-by-step, later steps intersecting the sorted intermediate result
 // against the next PlainSet by merge or galloping.
 //
-// The registry spec is "Planner" (alias "auto"); fsi::Engine's default
+// The registry spec is "Planner"; fsi::Engine's default
 // constructor uses it, making the planner the zero-config path.
 
 #ifndef FSI_API_PLANNER_H_
@@ -214,10 +214,10 @@ class PlannedSet : public PreprocessedSet {
   std::unique_ptr<CompressedScanSet> cscan_;
 };
 
-/// The planner, packaged as a registry algorithm ("Planner", alias
-/// "auto") so every Engine/BatchRunner/InvertedIndex feature works
-/// unchanged on top of it.  Thread-compatible like every algorithm: a
-/// const instance may be shared across threads.
+/// The planner, packaged as a registry algorithm ("Planner") so every
+/// Engine/BatchRunner/InvertedIndex feature works unchanged on top of it.
+/// Thread-compatible like every algorithm: a const instance may be shared
+/// across threads.
 class PlannerAlgorithm : public IntersectionAlgorithm {
  public:
   struct Options {

@@ -229,29 +229,18 @@ AlgorithmRegistry& AlgorithmRegistry::Global() {
                        o.TakeBool("single_resolution", opts.single_resolution);
                    return std::make_unique<RanGroupIntersection>(opts);
                  }});
-    auto make_scan = [](AlgorithmOptions& o, int default_m) {
-      RanGroupScanIntersection::Options opts;
-      opts.seed = o.seed();
-      opts.m = o.TakeInt("m", default_m);
-      opts.group_width = o.TakeSize("w", opts.group_width);
-      opts.memoize = o.TakeBool("memoize", opts.memoize);
-      opts.simd = TakeSimd(o);
-      return std::make_unique<RanGroupScanIntersection>(opts);
-    };
     r->Register({.name = "RanGroupScan",
                  .options_help =
                      "m=<images>,w=<group width>,memoize=<bool>,simd=auto|off",
                  .cost = &RanGroupScanIntersection::StepCost,
-                 .make = [make_scan](AlgorithmOptions& o) {
-                   return make_scan(o, 4);
-                 }});
-    r->Register({.name = "RanGroupScan2",
-                 .options_help =
-                     "m=<images>,w=<group width>,memoize=<bool>,simd=auto|off",
-                 .hidden = true,  // alias: RanGroupScan with m = 2
-                 .cost = &RanGroupScanIntersection::StepCost,
-                 .make = [make_scan](AlgorithmOptions& o) {
-                   return make_scan(o, 2);
+                 .make = [](AlgorithmOptions& o) {
+                   RanGroupScanIntersection::Options opts;
+                   opts.seed = o.seed();
+                   opts.m = o.TakeInt("m", opts.m);
+                   opts.group_width = o.TakeSize("w", opts.group_width);
+                   opts.memoize = o.TakeBool("memoize", opts.memoize);
+                   opts.simd = TakeSimd(o);
+                   return std::make_unique<RanGroupScanIntersection>(opts);
                  }});
     r->Register({.name = "HashBin",
                  .cost = &HashBinIntersection::StepCost,
@@ -279,28 +268,22 @@ AlgorithmRegistry& AlgorithmRegistry::Global() {
                  }});
 
     // --- The cost-model planner (api/planner.h): the zero-config default
-    // path of fsi::Engine, also reachable as the spec "Planner" or the
-    // hidden alias "auto". ------------------------------------------------
-    auto make_planner = [](AlgorithmOptions& o) {
-      PlannerAlgorithm::Options opts;
-      opts.scan.seed = o.seed();
-      opts.scan.m = o.TakeInt("m", opts.scan.m);
-      opts.scan.group_width = o.TakeSize("w", opts.scan.group_width);
-      opts.scan.simd = TakeSimd(o);
-      opts.calibration = o.TakeBool("calibration", opts.calibration);
-      return std::make_unique<PlannerAlgorithm>(opts);
-    };
+    // path of fsi::Engine, also reachable as the spec "Planner". ----------
     r->Register({.name = "Planner",
                  .options_help =
                      "calibration=on|off,m=<images>,w=<group width>,"
                      "simd=auto|off",
-                 .make = make_planner});
-    r->Register({.name = "auto",
-                 .options_help =
-                     "calibration=on|off,m=<images>,w=<group width>,"
-                     "simd=auto|off",
-                 .hidden = true,  // alias for "Planner"
-                 .make = make_planner});
+                 .make = [](AlgorithmOptions& o) {
+                   PlannerAlgorithm::Options opts;
+                   opts.scan.seed = o.seed();
+                   opts.scan.m = o.TakeInt("m", opts.scan.m);
+                   opts.scan.group_width =
+                       o.TakeSize("w", opts.scan.group_width);
+                   opts.scan.simd = TakeSimd(o);
+                   opts.calibration =
+                       o.TakeBool("calibration", opts.calibration);
+                   return std::make_unique<PlannerAlgorithm>(opts);
+                 }});
 
     // --- The Section 4.1 cast (compressed structures). --------------------
     r->Register({.name = "Merge_Gamma",
@@ -417,39 +400,28 @@ std::unique_ptr<IntersectionAlgorithm> AlgorithmRegistry::Create(
   return algorithm;
 }
 
-std::vector<std::string_view> AlgorithmRegistry::Names(
-    bool include_hidden) const {
+std::vector<std::string_view> AlgorithmRegistry::Names() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string_view> names;
   names.reserve(descriptors_.size());
-  for (const AlgorithmDescriptor& d : descriptors_) {
-    if (d.hidden && !include_hidden) continue;
-    names.emplace_back(d.name);
-  }
+  for (const AlgorithmDescriptor& d : descriptors_) names.emplace_back(d.name);
   return names;
 }
 
-std::vector<std::string_view> AlgorithmRegistry::Names(
-    bool compressed, bool include_hidden) const {
+std::vector<std::string_view> AlgorithmRegistry::Names(bool compressed) const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string_view> names;
   for (const AlgorithmDescriptor& d : descriptors_) {
-    if (d.compressed != compressed) continue;
-    if (d.hidden && !include_hidden) continue;
-    names.emplace_back(d.name);
+    if (d.compressed == compressed) names.emplace_back(d.name);
   }
   return names;
 }
 
-std::vector<const AlgorithmDescriptor*> AlgorithmRegistry::Descriptors(
-    bool include_hidden) const {
+std::vector<const AlgorithmDescriptor*> AlgorithmRegistry::Descriptors() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<const AlgorithmDescriptor*> out;
   out.reserve(descriptors_.size());
-  for (const AlgorithmDescriptor& d : descriptors_) {
-    if (d.hidden && !include_hidden) continue;
-    out.push_back(&d);
-  }
+  for (const AlgorithmDescriptor& d : descriptors_) out.push_back(&d);
   return out;
 }
 

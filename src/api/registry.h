@@ -12,9 +12,11 @@
 //   "IntGroup:s=16,seed=42"      wider groups, explicit seed
 //
 // so benchmarks, tests and operational tools (intersect_cli --list) can
-// sweep configurations without recompiling.  Unknown names and unknown or
-// malformed option keys are checked errors (std::invalid_argument), never
-// silent fallbacks.
+// sweep configurations without recompiling.  A configuration is a spec,
+// never a second registered name: the paper's m = 2 variant is
+// "RanGroupScan:m=2", and the planner is only ever "Planner".  Unknown
+// names and unknown or malformed option keys are checked errors
+// (std::invalid_argument), never silent fallbacks.
 //
 // New algorithms self-register: define a descriptor and a file-scope
 // AlgorithmRegistrar (or call AlgorithmRegistry::Global().Register()
@@ -94,9 +96,6 @@ struct AlgorithmDescriptor {
   /// messages, e.g. "m=<int>,w=<int>,memoize=<bool>".  Empty: no options
   /// beyond "seed".
   std::string options_help;
-  /// Aliases (e.g. "RanGroupScan2") are registered hidden: creatable by
-  /// name but excluded from the default Names() listing.
-  bool hidden = false;
   /// Cost hook for the planner (core/cost.h): predicted nanoseconds for one
   /// pairwise intersection step.  nullptr when the algorithm publishes no
   /// cost model — the planner then never selects it, and intersect_cli
@@ -130,18 +129,15 @@ class AlgorithmRegistry {
       std::string_view spec,
       std::uint64_t seed = kDefaultAlgorithmSeed) const;
 
-  /// Registered names in registration order; hidden aliases only when
-  /// `include_hidden`.
-  std::vector<std::string_view> Names(bool include_hidden = false) const;
+  /// Registered names in registration order.
+  std::vector<std::string_view> Names() const;
 
   /// Names filtered on the compressed flag (the Section 4 / Section 4.1
-  /// casts); hidden aliases are always excluded.
-  std::vector<std::string_view> Names(bool compressed,
-                                      bool include_hidden) const;
+  /// casts).
+  std::vector<std::string_view> Names(bool compressed) const;
 
   /// Descriptors in registration order (for --list style output).
-  std::vector<const AlgorithmDescriptor*> Descriptors(
-      bool include_hidden = false) const;
+  std::vector<const AlgorithmDescriptor*> Descriptors() const;
 
  private:
   mutable std::mutex mutex_;

@@ -80,13 +80,11 @@ std::unique_ptr<IntersectionAlgorithm> CreateAlgorithm(std::string_view name,
 }
 
 std::vector<std::string_view> UncompressedAlgorithmNames() {
-  return AlgorithmRegistry::Global().Names(/*compressed=*/false,
-                                           /*include_hidden=*/false);
+  return AlgorithmRegistry::Global().Names(/*compressed=*/false);
 }
 
 std::vector<std::string_view> CompressedAlgorithmNames() {
-  return AlgorithmRegistry::Global().Names(/*compressed=*/true,
-                                           /*include_hidden=*/false);
+  return AlgorithmRegistry::Global().Names(/*compressed=*/true);
 }
 
 }  // namespace fsi

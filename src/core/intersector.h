@@ -67,10 +67,9 @@ class HybridIntersection : public IntersectionAlgorithm {
 /// fsi::AlgorithmRegistry (api/registry.h), which is the canonical way to
 /// enumerate and construct algorithms.  Recognised names:
 ///   Merge, SkipList, Hash, BPP, Lookup, SvS, Adaptive, BaezaYates,
-///   SmallAdaptive, IntGroup, RanGroup, RanGroupScan, RanGroupScan2
-///   (m = 2), HashBin, Hybrid, Merge_Gamma, Merge_Delta, Lookup_Gamma,
-///   Lookup_Delta, RanGroupScan_Lowbits, RanGroupScan_Gamma,
-///   RanGroupScan_Delta.
+///   SmallAdaptive, IntGroup, RanGroup, RanGroupScan, HashBin, Hybrid,
+///   Merge_Gamma, Merge_Delta, Lookup_Gamma, Lookup_Delta,
+///   RanGroupScan_Lowbits, RanGroupScan_Gamma, RanGroupScan_Delta.
 /// Registry option-spec strings (e.g. "RanGroupScan:m=2,w=4") are also
 /// accepted.  Throws std::invalid_argument for unknown names or options.
 /// All randomized algorithms derive their internal hash functions from

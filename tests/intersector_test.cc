@@ -38,8 +38,8 @@ TEST(RegistryTest, CreatesEveryListedAlgorithm) {
   }
 }
 
-TEST(RegistryTest, RanGroupScan2HasTwoImages) {
-  auto alg = CreateAlgorithm("RanGroupScan2");
+TEST(RegistryTest, RanGroupScanM2SpecHasTwoImages) {
+  auto alg = CreateAlgorithm("RanGroupScan:m=2");
   EXPECT_EQ(alg->name(), "RanGroupScan");
   auto* scan = dynamic_cast<RanGroupScanIntersection*>(alg.get());
   ASSERT_NE(scan, nullptr);

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -283,6 +284,64 @@ TEST(ReadWhileWriteTest, ChurnWithCompactionConvergesToTheModel) {
   EXPECT_EQ(target.size(), model.size());
   ElemList final_list = engine.Query({&target}).Materialize();
   EXPECT_EQ(final_list, ElemList(model.begin(), model.end()));
+}
+
+TEST(ReadWhileWriteTest, ToggledKeyContainsMatchesTheSettledState) {
+  // One writer toggles a single key while compaction runs after every
+  // mutation.  The writer bumps `seq` to odd before each toggle and back
+  // to even after it, so seq / 2 counts settled toggles.  A probe that
+  // reads the same even `seq` before and after Contains() overlapped no
+  // toggle and must see that settled state, however many compactions it
+  // raced.
+  const std::size_t toggles = 500 * StressIters();
+  Engine engine("Planner:calibration=off");
+  Xoshiro256 rng(0x70661eULL);
+  ElemList base = SampleSortedSet(256, 1 << 16, rng);
+  const Elem key = base[base.size() / 2];  // present before toggle 0
+  PreparedSet target = engine.PrepareMutable(
+      base, {.compact_fill = 0.001, .compact_min = 1});
+  const std::uint64_t compactions_before =
+      BackgroundCompactor::Global().completed();
+
+  std::atomic<std::uint64_t> seq{0};
+  std::atomic<std::uint64_t> checked{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        const std::uint64_t before = seq.load(std::memory_order_seq_cst);
+        const bool present = target.Contains(key);
+        const std::uint64_t after = seq.load(std::memory_order_seq_cst);
+        if (before != after || before % 2 != 0) continue;
+        EXPECT_EQ(present, (before / 2) % 2 == 0) << "seq=" << before;
+        checked.fetch_add(1, std::memory_order_acq_rel);
+      }
+    });
+  }
+  for (std::size_t i = 0; i < toggles; ++i) {
+    seq.fetch_add(1, std::memory_order_seq_cst);  // odd: toggle in flight
+    if (i % 2 == 0) {
+      EXPECT_TRUE(target.Erase(key));
+    } else {
+      EXPECT_TRUE(target.Insert(key));
+    }
+    seq.fetch_add(1, std::memory_order_seq_cst);  // even: settled
+    // Hold the settled state while the compaction this toggle scheduled
+    // publishes under the readers' probes, then until a reader has probed
+    // the compacted state.
+    target.WaitForCompaction();
+    const std::uint64_t seen = checked.load(std::memory_order_acquire);
+    while (checked.load(std::memory_order_acquire) == seen) {
+      std::this_thread::yield();
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  target.WaitForCompaction();
+  EXPECT_GT(BackgroundCompactor::Global().completed(), compactions_before);
+  EXPECT_EQ(target.Contains(key), toggles % 2 == 0);
 }
 
 // ---------------------------------------------------------------------------

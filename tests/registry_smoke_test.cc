@@ -18,11 +18,13 @@ namespace {
 
 std::vector<std::string> AllRegisteredSpecs() {
   std::vector<std::string> specs;
-  // Every descriptor, including hidden aliases such as "RanGroupScan2"...
-  for (auto name : AlgorithmRegistry::Global().Names(/*include_hidden=*/true)) {
+  // Every descriptor...
+  for (auto name : AlgorithmRegistry::Global().Names()) {
     specs.emplace_back(name);
   }
-  // ...plus at least one option-string spelling per option style.
+  // ...the paper's m = 2 variant, plus at least one option-string spelling
+  // per option style.
+  specs.emplace_back("RanGroupScan:m=2");
   specs.emplace_back("RanGroupScan:m=2,w=4");
   specs.emplace_back("Hybrid:skew_threshold=32");
   specs.emplace_back("IntGroup:s=16");

@@ -270,14 +270,21 @@ std::vector<std::vector<ElemList>> AdversarialWorkloads() {
 
 TEST(SimdAlgorithmEquivalenceTest, EveryAlgorithmEverySinkBitIdentical) {
   const auto workloads = AdversarialWorkloads();
-  for (const AlgorithmDescriptor* d :
-       AlgorithmRegistry::Global().Descriptors(/*include_hidden=*/true)) {
-    const std::string base = d->name;
+  std::vector<std::string> specs;
+  for (auto n : AlgorithmRegistry::Global().Names()) specs.emplace_back(n);
+  specs.emplace_back("RanGroupScan:m=2");  // the paper's m = 2 variant
+  for (const std::string& base : specs) {
+    const std::size_t colon = base.find(':');
+    const AlgorithmDescriptor* d =
+        AlgorithmRegistry::Global().Find(base.substr(0, colon));
+    ASSERT_NE(d, nullptr) << base;
     // Algorithms without a simd knob still run: dispatched vs dispatched
     // (a tautology, but it keeps the sweep over *every* registered name,
     // so a future simd= addition is covered the moment its help says so).
     const std::string scalar_spec =
-        SupportsSimdOption(*d) ? base + ":simd=off" : base;
+        SupportsSimdOption(*d)
+            ? base + (colon == std::string::npos ? ":" : ",") + "simd=off"
+            : base;
     Engine dispatched(base);
     Engine scalar(scalar_spec);
     for (const auto& lists : workloads) {

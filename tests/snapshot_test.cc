@@ -212,8 +212,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, SnapshotRoundTripTest,
     testing::ValuesIn([] {
       std::vector<std::string> names;
-      for (std::string_view n :
-           AlgorithmRegistry::Global().Names(/*include_hidden=*/false)) {
+      for (std::string_view n : AlgorithmRegistry::Global().Names()) {
         names.emplace_back(n);
       }
       return names;

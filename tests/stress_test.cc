@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <string>
 #include <vector>
 
@@ -138,14 +139,21 @@ std::vector<std::string> StressedAlgorithms() {
   return {"Merge",        "SkipList",      "Hash",         "BPP",
           "Lookup",       "SvS",           "Adaptive",     "BaezaYates",
           "SmallAdaptive", "IntGroup",     "RanGroup",     "RanGroupScan",
-          "RanGroupScan2", "HashBin",      "Hybrid",       "Merge_Delta",
+          "RanGroupScan:m=2", "HashBin",   "Hybrid",       "Merge_Delta",
           "Lookup_Delta", "RanGroupScan_Lowbits", "RanGroupScan_Delta"};
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, StressTest,
                          ::testing::ValuesIn(StressedAlgorithms()),
                          [](const ::testing::TestParamInfo<std::string>& info) {
-                           return info.param;
+                           // "RanGroupScan:m=2" -> "RanGroupScan_m_2".
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (!std::isalnum(static_cast<unsigned char>(c))) {
+                               c = '_';
+                             }
+                           }
+                           return name;
                          });
 
 }  // namespace

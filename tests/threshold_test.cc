@@ -67,6 +67,12 @@ class ThresholdFixture {
   std::vector<const PreprocessedSet*> sets_;
 };
 
+TEST(ThresholdTest, RejectsBadThreshold) {
+  ThresholdFixture fx({ElemList{1}});
+  EXPECT_THROW(fx.AtLeast(0), std::invalid_argument);
+  EXPECT_THROW(fx.AtLeast(2), std::invalid_argument);
+}
+
 TEST(ThresholdTest, ThresholdZeroThrows) {
   ThresholdFixture fx({{1, 2, 3}, {2, 3, 4}});
   EXPECT_THROW(fx.AtLeast(0), std::invalid_argument);
@@ -129,6 +135,26 @@ TEST(ThresholdTest, DuplicateSetsTieEverywhere) {
   ThresholdFixture fx({set, set, set, set});
   for (std::size_t t = 1; t <= 4; ++t) {
     EXPECT_EQ(fx.AtLeast(t), set) << "t=" << t;
+  }
+}
+
+TEST(ThresholdTest, AllThresholdsAgainstBruteForce) {
+  Xoshiro256 rng(92);
+  std::vector<ElemList> lists = GenerateUniformSets(4, 800, 1 << 12, rng);
+  ThresholdFixture fx(lists);
+  for (std::size_t t = 1; t <= 4; ++t) {
+    EXPECT_EQ(fx.AtLeast(t), Oracle(lists, t)) << "t=" << t;
+  }
+}
+
+TEST(ThresholdTest, SkewedSizes) {
+  Xoshiro256 rng(93);
+  std::vector<ElemList> lists = {SampleSortedSet(20, 1 << 14, rng),
+                                 SampleSortedSet(2000, 1 << 14, rng),
+                                 SampleSortedSet(6000, 1 << 14, rng)};
+  ThresholdFixture fx(lists);
+  for (std::size_t t = 1; t <= 3; ++t) {
+    EXPECT_EQ(fx.AtLeast(t), Oracle(lists, t)) << "t=" << t;
   }
 }
 
