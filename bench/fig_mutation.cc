@@ -21,6 +21,11 @@
 //                                   element against the tombstones
 //                                   (Bloom-gated probes — a full extra
 //                                   pass, so the ratio is higher);
+//   mutation/expr_and/fill:F        the fill:F query written as
+//                                   Query(Expr::And({target, companion}))
+//                                   on an engine without memoization —
+//                                   the And node must cost what the flat
+//                                   query costs;
 //   mutation/post_compaction        the same query after Compact() — the
 //                                   delta is gone, so this should sit on
 //                                   the fill:0 baseline again;
@@ -47,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "api/expr.h"
 #include "bench/bench_util.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
@@ -119,6 +125,28 @@ void QueryVsFill(benchmark::State& state) {
   FillDelta(target, fill_pct);
   fsi::Query query = engine.Query({&target, &companion});
   if (unordered) query.Unordered();
+  ElemList out;
+  for (auto _ : state) {
+    query.ExecuteInto(&out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["fill_pct"] = static_cast<double>(fill_pct);
+  state.counters["delta"] = static_cast<double>(target.delta_size());
+  state.counters["result_size"] = static_cast<double>(out.size());
+}
+
+void ExprAndVsFill(benchmark::State& state) {
+  const int fill_pct = static_cast<int>(state.range(0));
+  const Workload& w = Workload::Get();
+  // No expression cache: every iteration evaluates the And node rather
+  // than replaying the memoized result of the unchanged operands.
+  Engine engine("Planner", {.expr_cache_bytes = 0});
+  PreparedSet target =
+      engine.PrepareMutable(w.base, {.background_compaction = false});
+  PreparedSet companion = engine.Prepare(w.companion);
+  FillDelta(target, fill_pct);
+  fsi::Query query =
+      engine.Query(Expr::And({Expr::Set(target), Expr::Set(companion)}));
   ElemList out;
   for (auto _ : state) {
     query.ExecuteInto(&out);
@@ -238,6 +266,12 @@ void RegisterAll() {
         "mutation/query_vs_fill_unordered/fill:" + std::to_string(fill);
     benchmark::RegisterBenchmark(ulabel.c_str(), QueryVsFill)
         ->Args({fill, 1})
+        ->Unit(benchmark::kMicrosecond);
+  }
+  for (int fill : {0, 10}) {
+    std::string label = "mutation/expr_and/fill:" + std::to_string(fill);
+    benchmark::RegisterBenchmark(label.c_str(), ExprAndVsFill)
+        ->Arg(fill)
         ->Unit(benchmark::kMicrosecond);
   }
   benchmark::RegisterBenchmark("mutation/post_compaction", PostCompaction)

@@ -18,83 +18,71 @@ BatchRunner::BatchRunner(Engine engine, BatchOptions options)
       options_(options),
       pool_(options.num_threads) {}
 
+template <typename Q>
+std::vector<fsi::Query> BatchRunner::Build(std::span<const Q> queries,
+                                           Sink sink) const {
+  // Validation errors (empty handles, cross-engine sets, arity overflow,
+  // malformed trees) throw here, before any worker runs, with the
+  // all-or-nothing semantics of Engine::Query; the optimizer runs once
+  // per expression.
+  std::vector<fsi::Query> built;
+  built.reserve(queries.size());
+  for (const Q& q : queries) {
+    fsi::Query query = engine_.Query(q);
+    if (!options_.ordered || sink == Sink::kCount) query.Unordered();
+    query.Limit(options_.limit);
+    built.push_back(std::move(query));
+  }
+  return built;
+}
+
 std::vector<ElemList> BatchRunner::Materialize(
     std::span<const BatchQuery> queries) {
   std::vector<ElemList> results;
-  Execute(queries, Sink::kMaterialize, &results, nullptr, nullptr);
+  Execute(Build(queries, Sink::kMaterialize), Sink::kMaterialize, &results,
+          nullptr, nullptr);
   return results;
 }
 
 std::vector<std::size_t> BatchRunner::Count(
     std::span<const BatchQuery> queries) {
   std::vector<std::size_t> counts;
-  Execute(queries, Sink::kCount, nullptr, &counts, nullptr);
+  Execute(Build(queries, Sink::kCount), Sink::kCount, nullptr, &counts,
+          nullptr);
   return counts;
 }
 
 std::size_t BatchRunner::Visit(
     std::span<const BatchQuery> queries,
     const std::function<void(std::size_t, std::span<const Elem>)>& visit) {
-  Execute(queries, Sink::kVisit, nullptr, nullptr, &visit);
+  Execute(Build(queries, Sink::kVisit), Sink::kVisit, nullptr, nullptr,
+          &visit);
   return stats_.total_results;
 }
 
 std::vector<ElemList> BatchRunner::Materialize(std::span<const Expr> queries) {
   std::vector<ElemList> results;
-  ExecuteExprs(queries, Sink::kMaterialize, &results, nullptr, nullptr);
+  Execute(Build(queries, Sink::kMaterialize), Sink::kMaterialize, &results,
+          nullptr, nullptr);
   return results;
 }
 
 std::vector<std::size_t> BatchRunner::Count(std::span<const Expr> queries) {
   std::vector<std::size_t> counts;
-  ExecuteExprs(queries, Sink::kCount, nullptr, &counts, nullptr);
+  Execute(Build(queries, Sink::kCount), Sink::kCount, nullptr, &counts,
+          nullptr);
   return counts;
 }
 
 std::size_t BatchRunner::Visit(
     std::span<const Expr> queries,
     const std::function<void(std::size_t, std::span<const Elem>)>& visit) {
-  ExecuteExprs(queries, Sink::kVisit, nullptr, nullptr, &visit);
+  Execute(Build(queries, Sink::kVisit), Sink::kVisit, nullptr, nullptr,
+          &visit);
   return stats_.total_results;
 }
 
 void BatchRunner::Execute(
-    std::span<const BatchQuery> queries, Sink sink,
-    std::vector<ElemList>* results, std::vector<std::size_t>* counts,
-    const std::function<void(std::size_t, std::span<const Elem>)>* visit) {
-  // Build every query up front, on this thread: validation errors (empty
-  // handles, cross-engine sets, arity overflow) throw here, before any
-  // worker runs, with the all-or-nothing semantics of Engine::Query.
-  std::vector<fsi::Query> built;
-  built.reserve(queries.size());
-  for (const BatchQuery& q : queries) {
-    fsi::Query query = engine_.Query(q);
-    if (!options_.ordered || sink == Sink::kCount) query.Unordered();
-    query.Limit(options_.limit);
-    built.push_back(std::move(query));
-  }
-  ExecuteBuilt(std::move(built), sink, results, counts, visit);
-}
-
-void BatchRunner::ExecuteExprs(
-    std::span<const Expr> queries, Sink sink,
-    std::vector<ElemList>* results, std::vector<std::size_t>* counts,
-    const std::function<void(std::size_t, std::span<const Elem>)>* visit) {
-  // Same serial build contract as the flat path: empty handles, foreign
-  // leaves, and malformed trees throw here, and the optimizer runs once
-  // per query before any worker starts.
-  std::vector<fsi::Query> built;
-  built.reserve(queries.size());
-  for (const Expr& e : queries) {
-    fsi::Query query = engine_.Query(e);
-    if (!options_.ordered || sink == Sink::kCount) query.Unordered();
-    query.Limit(options_.limit);
-    built.push_back(std::move(query));
-  }
-  ExecuteBuilt(std::move(built), sink, results, counts, visit);
-}
-
-void BatchRunner::ExecuteBuilt(
     std::vector<fsi::Query> built, Sink sink,
     std::vector<ElemList>* results, std::vector<std::size_t>* counts,
     const std::function<void(std::size_t, std::span<const Elem>)>* visit) {

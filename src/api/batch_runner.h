@@ -156,17 +156,13 @@ class BatchRunner {
  private:
   enum class Sink { kMaterialize, kCount, kVisit };
 
+  /// Builds every query up front, on the calling thread, with the sink's
+  /// builders applied.  Q is BatchQuery or Expr.
+  template <typename Q>
+  std::vector<fsi::Query> Build(std::span<const Q> queries, Sink sink) const;
+  /// Runs already-built queries on the pool and merges per-thread
+  /// accumulators into stats_.
   void Execute(
-      std::span<const BatchQuery> queries, Sink sink,
-      std::vector<ElemList>* results, std::vector<std::size_t>* counts,
-      const std::function<void(std::size_t, std::span<const Elem>)>* visit);
-  void ExecuteExprs(
-      std::span<const Expr> queries, Sink sink,
-      std::vector<ElemList>* results, std::vector<std::size_t>* counts,
-      const std::function<void(std::size_t, std::span<const Elem>)>* visit);
-  /// Shared execution core: runs already-built queries on the pool and
-  /// merges per-thread accumulators into stats_.
-  void ExecuteBuilt(
       std::vector<fsi::Query> built, Sink sink,
       std::vector<ElemList>* results, std::vector<std::size_t>* counts,
       const std::function<void(std::size_t, std::span<const Elem>)>* visit);

@@ -25,6 +25,12 @@
 //  * Input validation is governed by an explicit ValidationPolicy
 //    (full O(n) checking on by default in Debug, off in Release).
 //
+// Execution: every query runs through one evaluator (api/expr.h).  A flat
+// query over k sets is the expression And(set_1 .. set_k), built without
+// the rewrite pass (it is already in normal form) and without
+// memoization; its terminals run one native k-way call over the sets'
+// structures, then fold in the delta tier of any mutable input.
+//
 // Thread-safety: a const Engine and its PreparedSets may be shared across
 // threads.  Query objects are per-thread values: build one per query (or
 // reuse one per thread — terminals may be invoked repeatedly).
@@ -278,84 +284,48 @@ class Query {
   /// immediately).
   const QueryStats& stats() const { return stats_; }
 
-  /// The chosen execution plan, without running the query: set order,
-  /// algorithm per step, and the cost model's per-step predictions.  On a
-  /// planner engine (the default) this is the full cost-model plan; on an
-  /// explicit-spec engine it is a single-algorithm pseudo-plan carrying
-  /// the descriptor's cost prediction when one is published.
+  /// The chosen execution plan, without running the query.  For a flat
+  /// query (and any query whose optimized root is an And over sets): the
+  /// set order, algorithm per step and the cost model's per-step
+  /// predictions — the full cost-model plan on a planner engine (the
+  /// default), a single-algorithm pseudo-plan carrying the descriptor's
+  /// cost prediction on an explicit-spec engine — plus a DeltaMerge step
+  /// when a mutable input carries a delta.  Otherwise: the rendered
+  /// expression tree with per-node estimates.
   QueryPlan Explain() const;
 
  private:
   friend class Engine;
   Query(std::shared_ptr<const IntersectionAlgorithm> algorithm,
-        std::vector<const PreprocessedSet*> sets,
-        std::vector<std::shared_ptr<const PreprocessedSet>> retained,
-        std::vector<std::shared_ptr<MutableSetCore>> cores, QueryStats base,
-        const PlannerAlgorithm* planner, std::shared_ptr<const QueryPlan> plan,
-        double explicit_predicted)
+        std::shared_ptr<const ExprNode> root, std::shared_ptr<ExprCache> cache,
+        const PlannerAlgorithm* planner, StepCostFn cost_hook,
+        std::shared_ptr<const QueryPlan> plan, QueryStats base)
       : algorithm_(std::move(algorithm)),
-        sets_(std::move(sets)),
-        retained_(std::move(retained)),
-        cores_(std::move(cores)),
-        stats_(base),
+        root_(std::move(root)),
+        cache_(std::move(cache)),
         planner_(planner),
+        cost_hook_(cost_hook),
         plan_(std::move(plan)),
-        explicit_predicted_(explicit_predicted) {
-    for (const auto& core : cores_) {
-      if (core != nullptr) any_mutable_ = true;
-    }
-  }
-
-  /// The terminal path for queries over >= 1 mutable set: snapshots every
-  /// mutable input, re-plans against the snapshot (plans are cheap and a
-  /// build-time plan could be arbitrarily stale after mutations), runs
-  /// the base intersection, then applies the delta fixup
-  /// (core/delta_set.h).  Each terminal run observes one consistent
-  /// snapshot per set — concurrent mutations land in later runs.
-  QueryStats ExecuteMutableInto(ElemList* out);
-
-  /// Expression-mode construction (Engine::Query(const Expr&)): the query
-  /// evaluates `expr` instead of a flat conjunction.  Defined with the
-  /// evaluator in api/expr.cc.
-  Query(std::shared_ptr<const IntersectionAlgorithm> algorithm,
-        std::shared_ptr<const ExprNode> expr, std::shared_ptr<ExprCache> cache,
-        const PlannerAlgorithm* planner, QueryStats base)
-      : algorithm_(std::move(algorithm)),
-        stats_(base),
-        planner_(planner),
-        expr_(std::move(expr)),
-        expr_cache_(std::move(cache)) {}
-
-  /// The terminal path for expression queries: evaluates the optimized
-  /// tree bottom-up (api/expr.cc) with one consistent snapshot per
-  /// mutable leaf and the engine's memoization cache.
-  QueryStats ExecuteExprInto(ElemList* out);
+        stats_(base) {}
 
   std::shared_ptr<const IntersectionAlgorithm> algorithm_;
-  std::vector<const PreprocessedSet*> sets_;
-  std::vector<std::shared_ptr<const PreprocessedSet>> retained_;
-  /// Index-aligned with sets_: the mutable-set runtime per input, nullptr
-  /// for immutable inputs.  Non-empty only when any input is mutable.
-  std::vector<std::shared_ptr<MutableSetCore>> cores_;
-  bool any_mutable_ = false;
+  /// The query as an optimized expression tree (api/expr.h), run by the
+  /// one evaluator: a flat query is the And over its sets.
+  std::shared_ptr<const ExprNode> root_;
+  /// The engine's subexpression cache for expression queries; null for
+  /// flat queries, which stay unmemoized.
+  std::shared_ptr<ExprCache> cache_;
+  const PlannerAlgorithm* planner_ = nullptr;
+  StepCostFn cost_hook_ = nullptr;
+  /// Planner engines whose root is a conjunction of sets: the plan
+  /// computed once at query build, so an immutable query is never planned
+  /// twice (a run over mutable sets re-plans against its snapshot).
+  std::shared_ptr<const QueryPlan> plan_;
   bool ordered_ = true;
   std::size_t limit_ = SIZE_MAX;
   bool count_only_ = false;
   ElemList scratch_;  // reused by the Count/Visit/Execute sinks
   QueryStats stats_;
-  /// Set on planner engines: the plan computed once at query build, used
-  /// by the terminals and Explain() so a query is never planned twice.
-  /// Null when any input is mutable — those queries re-plan per terminal
-  /// run against a fresh snapshot.
-  const PlannerAlgorithm* planner_ = nullptr;
-  std::shared_ptr<const QueryPlan> plan_;
-  /// Explicit-spec engines only: the cost hook's base prediction, reused
-  /// by mutable terminal runs (the hook itself stays with the Engine).
-  double explicit_predicted_ = 0.0;
-  /// Expression mode (Engine::Query(const Expr&)): the optimized tree and
-  /// the engine's subexpression cache.  Null for flat queries.
-  std::shared_ptr<const ExprNode> expr_;
-  std::shared_ptr<ExprCache> expr_cache_;
 };
 
 /// Construction options for Engine.
@@ -566,6 +536,10 @@ class Engine {
 
  private:
   fsi::Query MakeQuery(std::span<const PreparedSet* const> sets) const;
+  /// The one query builder: structural stats and the plan of `root`
+  /// (already validated and optimized), under `cache` (null: unmemoized).
+  fsi::Query BuildQuery(std::shared_ptr<const ExprNode> root,
+                        std::shared_ptr<ExprCache> cache) const;
   /// Resolves planner_view_ / cost_hook_ once, so building a query never
   /// takes the registry mutex.
   void ResolveCostInfo();

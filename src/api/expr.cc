@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -13,7 +14,6 @@
 #include "core/delta_set.h"
 #include "core/threshold.h"
 #include "simd/intersect_kernels.h"
-#include "util/timer.h"
 
 namespace fsi {
 
@@ -509,92 +509,271 @@ std::optional<std::span<const Elem>> StructureElems(
   return std::nullopt;
 }
 
-class Evaluator {
- public:
-  Evaluator(const EvalContext& ctx, EvalStats* stats)
-      : ctx_(ctx),
-        stats_(stats),
-        constants_(ctx.planner != nullptr ? ctx.planner->constants()
-                                          : CostConstants{}),
-        kernels_(simd::DispatchedKernels()) {}
+struct NodeState {
+  ExprKey key;
+  std::optional<MutableSetState> snapshot;  // mutable leaves only
+  /// The leaf objects of this node's subtree, each once: what a cache
+  /// entry for the node keeps alive.  Collected only when memoizing.
+  std::vector<std::shared_ptr<const void>> pins;
+  bool evaluated = false;
+  std::span<const Elem> view;
+  /// Keeps `view` alive: the leaf structure, the snapshot base array, or
+  /// the owned/cached result vector.
+  std::shared_ptr<const void> owner;
+};
 
-  void Run(const ExprNode* root, ElemList* out) {
-    PrepareLeaves(root);
-    const NodeState& result = Eval(root);
-    out->assign(result.view.begin(), result.view.end());
+/// An And node whose children are all leaves, resolved against the run's
+/// snapshots: the input of one native k-way call and the delta fixup.
+struct LeafConjunction {
+  /// Index-aligned with the children: the structure to intersect (the
+  /// snapshot structure for a mutable leaf) and the snapshot (null for an
+  /// immutable leaf).
+  std::vector<const PreprocessedSet*> views;
+  std::vector<const MutableSetState*> snapshots;
+  bool any_mutable = false;
+  std::size_t total_inserts = 0;
+  std::size_t total_erases = 0;
+  std::size_t max_base_size = 0;
+  bool has_delta() const { return total_inserts + total_erases > 0; }
+};
+
+/// One run's view of a tree: a consistent snapshot per mutable leaf, taken
+/// once (so fingerprints, plans and data agree for the whole run — the key
+/// mixes the version of the snapshot this run actually evaluates, not the
+/// live version a concurrent writer may have advanced), each node's
+/// memoization key, and the pins its cache entry must retain.  Shared by
+/// evaluation and Explain.
+class PreparedTree {
+ public:
+  PreparedTree(const EvalContext& ctx, const ExprNode* root,
+               bool collect_pins)
+      : ctx_(ctx), collect_pins_(collect_pins) {
+    Prepare(root);
+  }
+
+  const EvalContext& ctx() const { return ctx_; }
+  NodeState& state(const ExprNode* n) { return states_.at(n); }
+  const NodeState& state(const ExprNode* n) const { return states_.at(n); }
+
+  /// Resolves `n` when it is an And over leaves that the engine runs as
+  /// one k-way call (always on the planner; within the algorithm's arity
+  /// on an explicit engine — wider conjunctions run the pairwise chain).
+  bool ResolveConjunction(const ExprNode* n, LeafConjunction* c) const {
+    if (n->kind != ExprKind::kAnd) return false;
+    for (const Expr& child : n->children) {
+      if (child.kind() != ExprKind::kSet) return false;
+    }
+    if (ctx_.planner == nullptr &&
+        n->children.size() > ctx_.algorithm->max_query_sets()) {
+      return false;
+    }
+    c->views.reserve(n->children.size());
+    c->snapshots.reserve(n->children.size());
+    for (const Expr& child : n->children) {
+      const NodeState& s = state(child.node());
+      const PreprocessedSet* view = Access::set(child.leaf()).get();
+      const MutableSetState* snapshot = nullptr;
+      if (s.snapshot) {
+        snapshot = &*s.snapshot;
+        view = snapshot->structure.get();
+        c->any_mutable = true;
+        c->total_inserts += snapshot->delta.insert_span().size();
+        c->total_erases += snapshot->delta.erase_span().size();
+      }
+      c->views.push_back(view);
+      c->snapshots.push_back(snapshot);
+      c->max_base_size = std::max(c->max_base_size, view->size());
+    }
+    return true;
+  }
+
+  /// The step plan of a resolved conjunction — the planner's plan, or the
+  /// explicit algorithm's pseudo-plan priced by its cost hook — plus a
+  /// DeltaMerge step pricing the fixup when a delta is non-empty.
+  QueryPlan PlanConjunction(const LeafConjunction& c) const {
+    QueryPlan plan =
+        ctx_.planner != nullptr
+            ? ctx_.planner->Plan(c.views)
+            : PlanExplicit(*ctx_.algorithm, c.views, ctx_.cost_hook);
+    if (!c.has_delta()) return plan;
+    PlanStep step;
+    step.algorithm = "DeltaMerge";
+    step.left_size = static_cast<std::size_t>(plan.est_result);
+    step.left_estimated = true;
+    step.right_size = c.total_inserts + c.total_erases;
+    step.est_result = plan.est_result;
+    step.predicted_micros = DeltaFixupMicros(
+        c.views.size(), plan.est_result, c.total_erases, c.total_inserts,
+        c.max_base_size,
+        ctx_.planner != nullptr ? ctx_.planner->constants()
+                                : CostConstants{});
+    plan.predicted_micros += step.predicted_micros;
+    plan.steps.push_back(std::move(step));
+    return plan;
+  }
+
+  /// Adds the structural stats of `n`'s subtree (a shared leaf counts once
+  /// per use): the leaves, their element volume (base + delta for a
+  /// mutable leaf) and the group count of the coarsest grouped structure.
+  void AddStructure(const ExprNode* n, QueryStats* stats) const {
+    if (n->kind == ExprKind::kSet) {
+      const NodeState& s = state(n);
+      const PreprocessedSet* structure =
+          s.snapshot ? s.snapshot->structure.get()
+                     : Access::set(n->leaf).get();
+      ++stats->num_sets;
+      stats->elements_scanned +=
+          s.snapshot ? s.snapshot->base->size() + s.snapshot->delta.size()
+                     : structure->size();
+      const std::uint64_t groups = structure->NumGroups();
+      if (groups > 0) {
+        stats->groups_probed = stats->groups_probed == 0
+                                   ? groups
+                                   : std::min(stats->groups_probed, groups);
+      }
+    }
+    for (const Expr& c : n->children) AddStructure(c.node(), stats);
   }
 
  private:
-  struct NodeState {
-    ExprKey key;
-    std::optional<MutableSetState> snapshot;  // mutable leaves only
-    bool evaluated = false;
-    std::span<const Elem> view;
-    /// Keeps `view` alive: the leaf structure, the snapshot base array,
-    /// or the owned/cached result vector.
-    std::shared_ptr<const void> owner;
-    std::shared_ptr<const ElemList> owned;  // set when materialized
-  };
-
-  /// Phase A: snapshot every mutable leaf once (so fingerprints and data
-  /// agree for the whole run — the key mixes the version of the snapshot
-  /// this run actually evaluates, not the live version a concurrent
-  /// writer may have advanced) and collect the ownership pins cache
-  /// entries must retain.  Returns the node's memoization key.
-  const ExprKey& PrepareLeaves(const ExprNode* n) {
+  const NodeState& Prepare(const ExprNode* n) {
     if (auto it = states_.find(n); it != states_.end()) {
-      return it->second->key;  // shared subtree: one snapshot, one key
+      return it->second;  // shared subtree: one snapshot, one key
     }
-    auto state = std::make_unique<NodeState>();
+    NodeState state;
     ExprKey key{0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL};
     key = MixKey(key, static_cast<std::uint64_t>(n->kind));
     if (n->kind == ExprKind::kSet) {
+      std::shared_ptr<const void> pin;
       if (n->leaf.is_mutable()) {
-        state->snapshot = Access::core(n->leaf)->Snapshot();
-        pins_.push_back(Access::core(n->leaf));
-        key = MixKey(key, reinterpret_cast<std::uintptr_t>(
-                              Access::core(n->leaf).get()));
-        key = MixKey(key, state->snapshot->version);
+        state.snapshot = Access::core(n->leaf)->Snapshot();
+        pin = Access::core(n->leaf);
+        key = MixKey(key, reinterpret_cast<std::uintptr_t>(pin.get()));
+        key = MixKey(key, state.snapshot->version);
       } else {
-        pins_.push_back(Access::set(n->leaf));
-        key = MixKey(key, reinterpret_cast<std::uintptr_t>(
-                              Access::set(n->leaf).get()));
+        pin = Access::set(n->leaf);
+        key = MixKey(key, reinterpret_cast<std::uintptr_t>(pin.get()));
       }
+      if (collect_pins_) state.pins.push_back(std::move(pin));
     }
     if (n->kind == ExprKind::kAtLeast) key = MixKey(key, n->threshold);
     for (const Expr& c : n->children) {
-      const ExprKey child_key = PrepareLeaves(c.node());
-      key = MixKey(key, child_key.hi);
-      key = MixKey(key, child_key.lo);
+      // unordered_map references survive rehashing.
+      const NodeState& child = Prepare(c.node());
+      key = MixKey(key, child.key.hi);
+      key = MixKey(key, child.key.lo);
+      if (collect_pins_) {
+        state.pins.insert(state.pins.end(), child.pins.begin(),
+                          child.pins.end());
+      }
     }
-    state->key = key;
-    NodeState* inserted = state.get();
-    states_.emplace(n, std::move(state));
-    return inserted->key;
+    if (collect_pins_ && n->children.size() > 1) {
+      const std::less<const void*> before;
+      std::sort(state.pins.begin(), state.pins.end(),
+                [&](const auto& a, const auto& b) {
+                  return before(a.get(), b.get());
+                });
+      state.pins.erase(
+          std::unique(state.pins.begin(), state.pins.end(),
+                      [](const auto& a, const auto& b) {
+                        return a.get() == b.get();
+                      }),
+          state.pins.end());
+    }
+    state.key = key;
+    return states_.emplace(n, std::move(state)).first->second;
   }
 
+  const EvalContext& ctx_;
+  const bool collect_pins_;
+  std::unordered_map<const ExprNode*, NodeState> states_;
+};
+
+class Evaluator {
+ public:
+  explicit Evaluator(PreparedTree& tree)
+      : tree_(tree),
+        ctx_(tree.ctx()),
+        constants_(ctx_.planner != nullptr ? ctx_.planner->constants()
+                                           : CostConstants{}),
+        kernels_(simd::DispatchedKernels()) {}
+
+  /// Evaluates `root` into `*out`.  A composite root computes straight
+  /// into the caller's buffer; only a memoized result is copied (into
+  /// the cache).
+  void Run(const ExprNode* root, bool ordered, const QueryPlan* root_plan,
+           ElemList* out) {
+    if (root->kind == ExprKind::kSet || root->kind == ExprKind::kNone) {
+      const std::span<const Elem> view = Eval(root).view;
+      out->assign(view.begin(), view.end());
+      return;
+    }
+    NodeState& state = tree_.state(root);
+    if (Lookup(&state)) {
+      out->assign(state.view.begin(), state.view.end());
+      return;
+    }
+    // A memoized result must be sorted: other queries may read it as an
+    // inner node's input.
+    Compute(root, ordered || ctx_.cache != nullptr, root_plan, out);
+    if (ctx_.cache != nullptr) {
+      ctx_.cache->Insert(state.key, std::make_shared<const ElemList>(*out),
+                         state.pins);
+    }
+  }
+
+ private:
   const NodeState& Eval(const ExprNode* n) {
-    NodeState& state = *states_.at(n);
+    NodeState& state = tree_.state(n);
     if (state.evaluated) return state;
-    switch (n->kind) {
-      case ExprKind::kNone:
-        break;
-      case ExprKind::kSet:
-        EvalLeaf(n, &state);
-        break;
-      default:
-        EvalComposite(n, &state);
-        break;
+    if (n->kind == ExprKind::kSet) {
+      EvalLeaf(n, &state);
+    } else if (n->kind != ExprKind::kNone && !Lookup(&state)) {
+      auto result = std::make_shared<ElemList>();
+      Compute(n, /*ordered=*/true, /*plan=*/nullptr, result.get());
+      state.view = std::span<const Elem>(*result);
+      state.owner = result;
+      if (ctx_.cache != nullptr) {
+        ctx_.cache->Insert(state.key, std::move(result), state.pins);
+      }
     }
     state.evaluated = true;
     return state;
+  }
+
+  bool Lookup(NodeState* state) {
+    if (ctx_.cache == nullptr) return false;
+    std::shared_ptr<const ElemList> cached = ctx_.cache->Lookup(state->key);
+    if (cached == nullptr) return false;
+    state->view = std::span<const Elem>(*cached);
+    state->owner = std::move(cached);
+    return true;
+  }
+
+  void Compute(const ExprNode* n, bool ordered, const QueryPlan* plan,
+               ElemList* out) {
+    switch (n->kind) {
+      case ExprKind::kAnd:
+        EvalAnd(n, ordered, plan, out);
+        break;
+      case ExprKind::kOr:
+        EvalOr(n, out);
+        break;
+      case ExprKind::kDiff:
+        EvalDiff(n, out);
+        break;
+      case ExprKind::kAtLeast:
+        EvalAtLeast(n, out);
+        break;
+      default:
+        break;
+    }
   }
 
   void EvalLeaf(const ExprNode* n, NodeState* state) {
     const PreparedSet& leaf = n->leaf;
     if (state->snapshot) {
       const MutableSetState& snap = *state->snapshot;
-      stats_->elements_scanned += snap.base->size() + snap.delta.size();
       if (snap.delta.empty()) {
         state->view = std::span<const Elem>(*snap.base);
         state->owner = snap.base;
@@ -603,12 +782,10 @@ class Evaluator {
             MergeEffective(*snap.base, snap.delta));
         state->view = std::span<const Elem>(*merged);
         state->owner = merged;
-        state->owned = merged;
       }
       return;
     }
     const PreprocessedSet* raw = Access::set(leaf).get();
-    stats_->elements_scanned += raw->size();
     if (std::optional<std::span<const Elem>> elems = StructureElems(raw)) {
       state->view = *elems;
       state->owner = Access::set(leaf);
@@ -623,71 +800,15 @@ class Evaluator {
     auto owned = std::make_shared<const ElemList>(std::move(elems));
     state->view = std::span<const Elem>(*owned);
     state->owner = owned;
-    state->owned = owned;
   }
 
-  void EvalComposite(const ExprNode* n, NodeState* state) {
-    if (ctx_.cache != nullptr) {
-      if (std::shared_ptr<const ElemList> cached =
-              ctx_.cache->Lookup(state->key)) {
-        ++stats_->cache_hits;
-        state->view = std::span<const Elem>(*cached);
-        state->owner = cached;
-        state->owned = std::move(cached);
-        return;
-      }
-      ++stats_->cache_misses;
+  void EvalAnd(const ExprNode* n, bool ordered, const QueryPlan* plan,
+               ElemList* out) {
+    LeafConjunction c;
+    if (tree_.ResolveConjunction(n, &c)) {
+      RunConjunction(c, ordered, plan, out);
+      return;
     }
-    ElemList result;
-    switch (n->kind) {
-      case ExprKind::kAnd:
-        EvalAnd(n, &result);
-        break;
-      case ExprKind::kOr:
-        EvalOr(n, &result);
-        break;
-      case ExprKind::kDiff:
-        EvalDiff(n, &result);
-        break;
-      case ExprKind::kAtLeast:
-        EvalAtLeast(n, &result);
-        break;
-      default:
-        break;
-    }
-    auto owned = std::make_shared<const ElemList>(std::move(result));
-    state->view = std::span<const Elem>(*owned);
-    state->owner = owned;
-    state->owned = owned;
-    if (ctx_.cache != nullptr) {
-      ctx_.cache->Insert(state->key, state->owned, pins_);
-    }
-  }
-
-  /// All children are immutable leaves — the native k-way engine path
-  /// applies (full per-step cost-model plan on a planner engine).
-  bool NativeConjunction(const ExprNode* n, ElemList* out) {
-    std::vector<const PreprocessedSet*> views;
-    views.reserve(n->children.size());
-    for (const Expr& c : n->children) {
-      if (c.kind() != ExprKind::kSet || c.leaf().is_mutable()) return false;
-      views.push_back(Access::set(c.leaf()).get());
-    }
-    if (ctx_.planner != nullptr) {
-      QueryPlan plan = ctx_.planner->Plan(views);
-      stats_->predicted_micros += plan.predicted_micros;
-      ctx_.planner->ExecutePlan(views, plan, /*ordered=*/true, out);
-      return true;
-    }
-    if (views.size() <= ctx_.algorithm->max_query_sets()) {
-      ctx_.algorithm->Intersect(views, out);
-      return true;
-    }
-    return false;  // wider than the native arity: pairwise chain below
-  }
-
-  void EvalAnd(const ExprNode* n, ElemList* out) {
-    if (NativeConjunction(n, out)) return;
     // Smallest-first pairwise chain over the materialized children,
     // choosing merge vs gallop per step from the calibrated constants —
     // the planner's mixed-chain logic applied to arbitrary subresults.
@@ -713,8 +834,81 @@ class Evaluator {
         kernels_.intersect_pair(out->data(), out->size(), lists[i].data(),
                                 lists[i].size(), &next);
       }
-      stats_->predicted_micros += std::min(merge_cost, gallop_cost) * 1e-3;
       out->swap(next);
+    }
+  }
+
+  /// The native k-way call over the leaves' structures, then the delta
+  /// fixup.  `plan` (the build-time plan of a root conjunction) is only
+  /// valid while no input can change underneath it.
+  void RunConjunction(const LeafConjunction& c, bool ordered,
+                      const QueryPlan* plan, ElemList* out) {
+    if (c.views.empty()) return;  // the empty flat query
+    if (ctx_.planner != nullptr) {
+      QueryPlan fresh;
+      if (plan == nullptr || c.any_mutable) {
+        fresh = ctx_.planner->Plan(c.views);
+        plan = &fresh;
+      }
+      ctx_.planner->ExecutePlan(c.views, *plan, ordered, out);
+    } else if (ordered) {
+      ctx_.algorithm->Intersect(c.views, out);
+    } else {
+      ctx_.algorithm->IntersectUnordered(c.views, out);
+    }
+    if (c.has_delta()) ApplyDelta(c, ordered, out);
+  }
+
+  /// Folds the mutable leaves' delta tiers into the intersection of their
+  /// base structures (core/delta_set.h).
+  void ApplyDelta(const LeafConjunction& c, bool ordered, ElemList* out) {
+    const std::size_t k = c.views.size();
+    // Step 1: drop tombstoned elements from the base intersection.
+    for (std::size_t i = 0; i < k && !out->empty(); ++i) {
+      if (c.snapshots[i] == nullptr) continue;
+      std::span<const Elem> erases = c.snapshots[i]->delta.erase_span();
+      if (erases.empty()) continue;
+      if (ordered) {
+        SubtractSortedInPlace(out, erases, kernels_);
+      } else {
+        SubtractUnorderedInPlace(out, erases, kernels_);
+      }
+    }
+    // Step 2: admit insert-buffer elements present in *every* effective
+    // set.  Candidates are disjoint from the base intersection (an insert
+    // is never a base member of its own set), so the merge in step 3
+    // cannot duplicate.
+    std::vector<const DeltaSnapshot*> deltas;
+    deltas.reserve(k);
+    for (const MutableSetState* s : c.snapshots) {
+      if (s != nullptr) deltas.push_back(&s->delta);
+    }
+    ElemList candidates = UnionInsertBuffers(deltas);
+    for (std::size_t i = 0; i < k && !candidates.empty(); ++i) {
+      if (const MutableSetState* s = c.snapshots[i]) {
+        FilterByEffectiveMembership(&candidates, *s->base, s->delta,
+                                    kernels_);
+      } else if (std::optional<std::span<const Elem>> elems =
+                     StructureElems(c.views[i])) {
+        IntersectWithSortedSpan(&candidates, *elems, kernels_);
+      } else {
+        // Opaque immutable structure: intersect the (small) candidate
+        // list against it with the engine's own algorithm.
+        std::unique_ptr<PreprocessedSet> candidate_set(
+            ctx_.algorithm->Preprocess(candidates));
+        const PreprocessedSet* pair[2] = {candidate_set.get(), c.views[i]};
+        ElemList kept;
+        ctx_.algorithm->Intersect(pair, &kept);
+        candidates.swap(kept);
+      }
+    }
+    // Step 3: fold the admitted candidates into the result.
+    if (!candidates.empty()) {
+      if (ordered) {
+        MergeSortedDisjointInPlace(out, candidates, kernels_);
+      } else {
+        out->insert(out->end(), candidates.begin(), candidates.end());
+      }
     }
   }
 
@@ -728,9 +922,6 @@ class Evaluator {
     out->assign(lists[0].begin(), lists[0].end());
     ElemList next;
     for (std::size_t i = 1; i < lists.size(); ++i) {
-      stats_->predicted_micros +=
-          constants_.merge_ns *
-          static_cast<double>(out->size() + lists[i].size()) * 1e-3;
       UnionPair(*out, lists[i], &next);
       out->swap(next);
     }
@@ -740,26 +931,15 @@ class Evaluator {
     const NodeState& include = Eval(n->children[0].node());
     const NodeState& exclude = Eval(n->children[1].node());
     out->assign(include.view.begin(), include.view.end());
-    stats_->predicted_micros +=
-        constants_.merge_ns *
-        static_cast<double>(include.view.size() + exclude.view.size()) * 1e-3;
     if (!out->empty() && !exclude.view.empty()) {
       SubtractSortedInPlace(out, exclude.view, kernels_);
     }
   }
 
   void EvalAtLeast(const ExprNode* n, ElemList* out) {
-    const std::size_t k = n->children.size();
-    const std::size_t t = n->threshold;
-    if (t > k) return;  // always empty (unoptimized trees reach here)
+    if (n->threshold > n->children.size()) return;  // unoptimized trees
     if (EvalAtLeastGrouped(n, out)) return;
-    std::vector<std::span<const Elem>> lists = ChildViews(n);
-    std::size_t total = 0;
-    for (std::span<const Elem> l : lists) total += l.size();
-    stats_->predicted_micros +=
-        constants_.merge_ns * static_cast<double>(total) *
-        std::log2(static_cast<double>(k) + 1.0) * 1e-3;
-    AtLeastMerge(lists, t, out);
+    AtLeastMerge(ChildViews(n), n->threshold, out);
   }
 
   /// The Section 6 t-threshold fast path: all children are immutable
@@ -778,7 +958,6 @@ class Evaluator {
     if (scan_algorithm == nullptr) return false;
     std::vector<const PreprocessedSet*> scans;
     scans.reserve(n->children.size());
-    std::size_t total = 0;
     for (const Expr& c : n->children) {
       if (c.kind() != ExprKind::kSet || c.leaf().is_mutable()) return false;
       const PreprocessedSet* raw = Access::set(c.leaf()).get();
@@ -790,10 +969,7 @@ class Evaluator {
       } else {
         return false;
       }
-      total += raw->size();
     }
-    stats_->predicted_micros +=
-        (constants_.scan_ns * static_cast<double>(total)) * 1e-3;
     ThresholdIntersection threshold(scan_algorithm);
     *out = threshold.AtLeast(scans, n->threshold);
     return true;
@@ -806,21 +982,22 @@ class Evaluator {
     return lists;
   }
 
+  PreparedTree& tree_;
   const EvalContext& ctx_;
-  EvalStats* stats_;
   const CostConstants constants_;
   const simd::Kernels& kernels_;
-  std::unordered_map<const ExprNode*, std::unique_ptr<NodeState>> states_;
-  std::vector<std::shared_ptr<const void>> pins_;
 };
 
 }  // namespace
 
-void Evaluate(const ExprNode& root, const EvalContext& ctx, EvalStats* stats,
-              ElemList* out) {
-  out->clear();
-  Evaluator evaluator(ctx, stats);
-  evaluator.Run(&root, out);
+void Evaluate(const ExprNode& root, const EvalContext& ctx, bool ordered,
+              const QueryPlan* root_plan, ElemList* out, QueryStats* stats) {
+  PreparedTree tree(ctx, &root, /*collect_pins=*/ctx.cache != nullptr);
+  stats->num_sets = 0;
+  stats->elements_scanned = 0;
+  stats->groups_probed = 0;
+  tree.AddStructure(&root, stats);
+  Evaluator(tree).Run(&root, ordered, root_plan, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -838,15 +1015,16 @@ namespace {
 /// Largest element bound observed across the leaves (exclusive); the
 /// density denominator.  Falls back to set sizes for opaque structures
 /// and 2^32 when nothing is known.
-void MaxLeafBound(const ExprNode* n, double* bound) {
+void MaxLeafBound(const PreparedTree& tree, const ExprNode* n,
+                  double* bound) {
   if (n->kind == ExprKind::kSet) {
     const PreparedSet& leaf = n->leaf;
-    if (leaf.is_mutable()) {
-      MutableSetState snap = Access::core(leaf)->Snapshot();
-      if (!snap.base->empty()) {
-        *bound = std::max(*bound, static_cast<double>(snap.base->back()) + 1);
+    if (const std::optional<MutableSetState>& snap =
+            tree.state(n).snapshot) {
+      if (!snap->base->empty()) {
+        *bound = std::max(*bound, static_cast<double>(snap->base->back()) + 1);
       }
-      std::span<const Elem> inserts = snap.delta.insert_span();
+      std::span<const Elem> inserts = snap->delta.insert_span();
       if (!inserts.empty()) {
         *bound = std::max(*bound, static_cast<double>(inserts.back()) + 1);
       }
@@ -859,15 +1037,16 @@ void MaxLeafBound(const ExprNode* n, double* bound) {
                         static_cast<double>(Access::set(leaf).get()->size()));
     }
   }
-  for (const Expr& c : n->children) MaxLeafBound(c.node(), bound);
+  for (const Expr& c : n->children) MaxLeafBound(tree, c.node(), bound);
 }
 
 class ExprPlanner {
  public:
-  ExprPlanner(const EvalContext& ctx, double universe)
-      : ctx_(ctx),
-        constants_(ctx.planner != nullptr ? ctx.planner->constants()
-                                          : CostConstants{}),
+  ExprPlanner(const PreparedTree& tree, double universe)
+      : tree_(tree),
+        ctx_(tree.ctx()),
+        constants_(ctx_.planner != nullptr ? ctx_.planner->constants()
+                                           : CostConstants{}),
         universe_(universe) {}
 
   double predicted() const { return predicted_; }
@@ -939,33 +1118,28 @@ class ExprPlanner {
     return std::min(1.0, est / universe_);
   }
 
-  bool AllImmutableLeaves(const ExprNode* n,
-                          std::vector<const PreprocessedSet*>* views) const {
+  bool AllImmutableLeaves(const ExprNode* n) const {
     for (const Expr& c : n->children) {
       if (c.kind() != ExprKind::kSet || c.leaf().is_mutable()) return false;
-      if (views != nullptr) views->push_back(Access::set(c.leaf()).get());
     }
     return true;
   }
 
   double EstimateAnd(const ExprNode* n, const std::vector<double>& ests,
                      std::string* annotation) {
-    std::vector<const PreprocessedSet*> views;
-    views.reserve(n->children.size());
-    if (AllImmutableLeaves(n, &views)) {
-      if (ctx_.planner != nullptr) {
-        // Exact plan: the same Plan() the evaluator will execute.
-        QueryPlan plan = ctx_.planner->Plan(views);
-        predicted_ += plan.predicted_micros;
+    LeafConjunction c;
+    if (tree_.ResolveConjunction(n, &c)) {
+      // Exact plan: the same plan the evaluator will execute.
+      QueryPlan plan = tree_.PlanConjunction(c);
+      predicted_ += plan.predicted_micros;
+      if (!plan.planned) {
+        *annotation = std::string(ctx_.algorithm->name());
+      } else {
         *annotation = plan.steps.empty()
                           ? "native"
                           : (plan.uniform ? plan.steps[0].algorithm : "mixed");
-        return plan.est_result;
       }
-      if (views.size() <= ctx_.algorithm->max_query_sets()) {
-        *annotation = std::string(ctx_.algorithm->name());
-        return ChainEstimate(ests);
-      }
+      return plan.est_result;
     }
     *annotation = "chain";
     return ChainEstimate(ests);
@@ -1028,7 +1202,7 @@ class ExprPlanner {
         (ctx_.planner != nullptr ||
          dynamic_cast<const RanGroupScanIntersection*>(ctx_.algorithm) !=
              nullptr) &&
-        AllImmutableLeaves(n, nullptr);
+        AllImmutableLeaves(n);
     if (grouped) {
       *annotation = "threshold";
       predicted_ +=
@@ -1042,6 +1216,7 @@ class ExprPlanner {
     return est;
   }
 
+  const PreparedTree& tree_;
   const EvalContext& ctx_;
   const CostConstants constants_;
   const double universe_;
@@ -1050,11 +1225,16 @@ class ExprPlanner {
 
 }  // namespace
 
-QueryPlan PlanExpr(const ExprNode& root, const EvalContext& ctx) {
+QueryPlan PlanExpr(const ExprNode& root, const EvalContext& ctx,
+                   QueryStats* structure) {
+  PreparedTree tree(ctx, &root, /*collect_pins=*/false);
+  if (structure != nullptr) tree.AddStructure(&root, structure);
+  LeafConjunction c;
+  if (tree.ResolveConjunction(&root, &c)) return tree.PlanConjunction(c);
   double universe = 0.0;
-  MaxLeafBound(&root, &universe);
+  MaxLeafBound(tree, &root, &universe);
   if (universe < 1.0) universe = 4294967296.0;  // no sized leaf: full domain
-  ExprPlanner planner(ctx, universe);
+  ExprPlanner planner(tree, universe);
   QueryPlan plan;
   plan.est_result = planner.Render(&root, 0, &plan.tree);
   plan.predicted_micros = planner.predicted();
@@ -1085,13 +1265,6 @@ void CheckExprLeaves(const ExprNode* n,
   for (const Expr& c : n->children) CheckExprLeaves(c.node(), algorithm);
 }
 
-std::size_t SumLeafSizes(const ExprNode* n) {
-  if (n->kind == ExprKind::kSet) return n->leaf.size();
-  std::size_t total = 0;
-  for (const Expr& c : n->children) total += SumLeafSizes(c.node());
-  return total;
-}
-
 }  // namespace
 
 fsi::Query Engine::Query(const Expr& expr) const {
@@ -1100,31 +1273,7 @@ fsi::Query Engine::Query(const Expr& expr) const {
                                 ": query over an empty Expr handle");
   }
   CheckExprLeaves(expr.node(), algorithm_.get());
-  Expr optimized = OptimizeExpr(expr);
-  QueryStats base;
-  base.num_sets = optimized.num_leaves();
-  base.elements_scanned = SumLeafSizes(optimized.node());
-  expr_internal::EvalContext ctx{algorithm_.get(), planner_view_,
-                                 expr_cache_.get()};
-  base.predicted_micros =
-      expr_internal::PlanExpr(*optimized.node(), ctx).predicted_micros;
-  return fsi::Query(algorithm_, optimized.shared_node(), expr_cache_,
-                    planner_view_, base);
-}
-
-QueryStats Query::ExecuteExprInto(ElemList* out) {
-  Timer timer;
-  expr_internal::EvalContext ctx{algorithm_.get(), planner_,
-                                 expr_cache_.get()};
-  expr_internal::EvalStats eval_stats;
-  // Always sorted — which satisfies the Unordered() contract too
-  // (unspecified order includes ascending).
-  expr_internal::Evaluate(*expr_, ctx, &eval_stats, out);
-  if (limit_ < out->size()) out->resize(limit_);
-  stats_.elements_scanned = eval_stats.elements_scanned;
-  stats_.result_size = out->size();
-  stats_.wall_micros = timer.ElapsedMillis() * 1000.0;
-  return stats_;
+  return BuildQuery(OptimizeExpr(expr).shared_node(), expr_cache_);
 }
 
 }  // namespace fsi

@@ -34,10 +34,14 @@
 // (AtLeast(k,·) -> And, AtLeast(1,·) -> Or, t > k -> None), and constant
 // folding.  Evaluation then runs bottom-up with smallest-first ordering
 // and density-corrected cardinality estimates per node; conjunctions of
-// immutable leaves execute through the engine's native k-way path (on a
-// planner engine: the full per-step cost-model plan), and all-leaf
-// AtLeast nodes on grouped structures run the count-merge of
-// core/threshold.h.  Query::Explain() renders the chosen tree.
+// leaves execute through the engine's native k-way path (on a planner
+// engine: the full per-step cost-model plan) over each leaf's snapshot
+// structure, followed by the delta fixup of core/delta_set.h when a
+// mutable leaf carries one, and all-leaf AtLeast nodes on grouped
+// structures run the count-merge of core/threshold.h.  This is the one
+// execution path of every query: a flat Engine::Query(sets) is the
+// root And over its sets.  Query::Explain() renders the chosen tree (the
+// flat step plan when the root is such a conjunction).
 //
 // Memoization: an Engine owns an ExprCache (EngineOptions::
 // expr_cache_bytes) memoizing subexpression results keyed on the node's
@@ -254,25 +258,29 @@ namespace expr_internal {
 struct EvalContext {
   const IntersectionAlgorithm* algorithm = nullptr;
   const PlannerAlgorithm* planner = nullptr;  // null on explicit engines
-  ExprCache* cache = nullptr;                 // null disables memoization
+  StepCostFn cost_hook = nullptr;  // explicit engines: the registry hook
+  ExprCache* cache = nullptr;      // null disables memoization
 };
 
-/// Per-run measurements folded into QueryStats by the terminal.
-struct EvalStats {
-  std::size_t elements_scanned = 0;
-  double predicted_micros = 0.0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-};
+/// One query terminal: evaluates an (optimized) tree bottom-up into
+/// `*out` (which must be empty), taking one consistent snapshot per
+/// mutable leaf at entry.  A root And over leaves runs as one native
+/// k-way call plus the delta fixup, writes straight into `*out`, and
+/// honors `ordered == false` unless its result is memoized; every other
+/// result is sorted.  `root_plan` is the build-time plan of such a root
+/// (planner engines; ignored when a leaf is mutable).  Refreshes the
+/// structural fields of `*stats` (num_sets, elements_scanned,
+/// groups_probed) from the run's snapshots.
+void Evaluate(const ExprNode& root, const EvalContext& ctx, bool ordered,
+              const QueryPlan* root_plan, ElemList* out, QueryStats* stats);
 
-/// Evaluates an (optimized) tree bottom-up into `*out`, sorted ascending.
-/// Takes one consistent snapshot per mutable leaf at entry.
-void Evaluate(const ExprNode& root, const EvalContext& ctx, EvalStats* stats,
-              ElemList* out);
-
-/// The Explain() walk: cardinality estimates per node, algorithm choice
-/// annotations, and the rendered tree (QueryPlan::tree) — no execution.
-QueryPlan PlanExpr(const ExprNode& root, const EvalContext& ctx);
+/// The Explain() walk, no execution.  For a root And over leaves: the
+/// flat step plan the terminals execute, plus a DeltaMerge step when a
+/// mutable leaf carries a delta.  Otherwise: cardinality estimates per
+/// node, algorithm annotations and the rendered tree (QueryPlan::tree).
+/// When `structure` is non-null, also fills its structural fields.
+QueryPlan PlanExpr(const ExprNode& root, const EvalContext& ctx,
+                   QueryStats* structure = nullptr);
 
 }  // namespace expr_internal
 

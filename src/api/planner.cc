@@ -691,18 +691,6 @@ void PlannerAlgorithm::ExecutePlan(
   out->swap(current);
 }
 
-QueryPlan PlanQuery(const IntersectionAlgorithm& algorithm,
-                    std::span<const PreprocessedSet* const> sets) {
-  if (const auto* planner =
-          dynamic_cast<const PlannerAlgorithm*>(&algorithm)) {
-    return planner->Plan(sets);
-  }
-  const AlgorithmDescriptor* descriptor =
-      AlgorithmRegistry::Global().Find(algorithm.name());
-  return PlanExplicit(algorithm, sets,
-                      descriptor == nullptr ? nullptr : descriptor->cost);
-}
-
 QueryPlan PlanExplicit(const IntersectionAlgorithm& algorithm,
                        std::span<const PreprocessedSet* const> sets,
                        StepCostFn cost) {

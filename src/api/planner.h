@@ -308,18 +308,12 @@ class PlannerAlgorithm : public IntersectionAlgorithm {
   std::vector<const AlgorithmDescriptor*> candidates_;
 };
 
-/// Plans `sets` under `algorithm`: the full cost-model plan when the
-/// algorithm is a PlannerAlgorithm, otherwise a single-entry pseudo-plan
-/// carrying the algorithm's own cost prediction when its registry
-/// descriptor publishes a hook (predicted_micros == 0 when it does not).
-/// This is what Query::Explain() and QueryStats::predicted_micros use.
-QueryPlan PlanQuery(const IntersectionAlgorithm& algorithm,
-                    std::span<const PreprocessedSet* const> sets);
-
-/// The explicit-spec pseudo-plan with the registry lookup pre-resolved:
-/// `hook` is the descriptor's cost hook (may be null).  The Engine caches
-/// the hook at construction and calls this per query, so query building
-/// never takes the registry mutex.
+/// The explicit-spec pseudo-plan: a single-entry plan carrying the
+/// algorithm's own cost prediction, from `hook`, the descriptor's cost
+/// hook (predicted_micros == 0 when it is null).  The Engine resolves the
+/// hook at construction, so query building never takes the registry
+/// mutex.  This is what Query::Explain() and QueryStats::predicted_micros
+/// use on explicit-spec engines.
 QueryPlan PlanExplicit(const IntersectionAlgorithm& algorithm,
                        std::span<const PreprocessedSet* const> sets,
                        StepCostFn hook);

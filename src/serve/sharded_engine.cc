@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <exception>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <sstream>
 #include <utility>
@@ -49,17 +50,14 @@ std::string_view ToString(ServeStatus status) {
 /// gather may abandon it at the deadline while shard tasks are still
 /// queued, so the tasks (which each hold a reference) must outlive the
 /// Serve call that spawned them.  Everything below `mutex` is guarded
-/// by it; the per-shard input handles are written once before scatter
-/// and read-only afterwards.
+/// by it; `make_query` is written once before scatter and read-only
+/// afterwards.
 struct ShardedEngine::QueryState {
-  /// Per-shard copies of the input handles (shared ownership), so a
-  /// late task never touches caller-owned ShardedSet objects after a
-  /// partial gather returned.  [shard][set].
-  std::vector<std::vector<PreparedSet>> inputs;
-  /// Expression queries: the per-shard projected trees (one per shard;
-  /// each Expr holds shared ownership of its leaves).  Non-empty exactly
-  /// when the query is an expression.
-  std::vector<Expr> exprs;
+  /// Builds shard s's query on the pool thread that runs it, so the
+  /// shards plan in parallel.  Holds shared ownership of the per-shard
+  /// inputs, so a late task never touches caller-owned ShardedSet or
+  /// ShardedExpr objects after a partial gather returned.
+  std::function<fsi::Query(std::size_t shard)> make_query;
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -281,14 +279,16 @@ ServeResult ShardedEngine::Serve(std::span<const ShardedSet* const> sets,
     return out;
   }
 
-  auto state = std::make_shared<QueryState>();
-  state->inputs.resize(num_shards);
+  // Per-shard copies of the input handles: [shard][set].
+  std::vector<std::vector<PreparedSet>> inputs(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
-    state->inputs[s].reserve(sets.size());
-    for (const ShardedSet* set : sets) {
-      state->inputs[s].push_back(set->shards_[s]);
-    }
+    inputs[s].reserve(sets.size());
+    for (const ShardedSet* set : sets) inputs[s].push_back(set->shards_[s]);
   }
+  auto state = std::make_shared<QueryState>();
+  state->make_query = [this, inputs = std::move(inputs)](std::size_t s) {
+    return engines_[s].Query(std::span<const PreparedSet>(inputs[s]));
+  };
   return ServeScattered(std::move(state), options, wall);
 }
 
@@ -300,12 +300,16 @@ ServeResult ShardedEngine::Serve(const ShardedExpr& expr,
         "ShardedEngine::Serve: empty ShardedExpr handle");
   }
   CheckExpr(expr);
-  auto state = std::make_shared<QueryState>();
   const std::size_t num_shards = map_.num_shards();
-  state->exprs.reserve(num_shards);
+  std::vector<Expr> exprs;
+  exprs.reserve(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
-    state->exprs.push_back(expr.Project(s));
+    exprs.push_back(expr.Project(s));
   }
+  auto state = std::make_shared<QueryState>();
+  state->make_query = [this, exprs = std::move(exprs)](std::size_t s) {
+    return engines_[s].Query(exprs[s]);
+  };
   return ServeScattered(std::move(state), options, wall);
 }
 
@@ -357,49 +361,16 @@ ServeResult ShardedEngine::ServeScattered(std::shared_ptr<QueryState> state,
     QueryState::Slot slot;
     try {
       if (!deadline || Clock::now() < *deadline) {
-        if (!state->exprs.empty()) {
-          // Expression query: evaluate the shard's projected tree.  No
-          // empty-operand shortcut here — an empty slice only empties
-          // conjunctive contexts, and the per-engine optimizer already
-          // constant-folds those.
-          fsi::Query query = engines_[s].Query(state->exprs[s]);
-          if (!options.ordered || options.count_only) query.Unordered();
-          query.Limit(options.limit);
-          if (options.count_only) {
-            query.CountOnly();
-            slot.stats = query.Execute();
-          } else {
-            slot.stats = query.ExecuteInto(&slot.elems);
-          }
-          slot.computed = true;
+        fsi::Query query = state->make_query(s);
+        if (!options.ordered || options.count_only) query.Unordered();
+        query.Limit(options.limit);
+        if (options.count_only) {
+          query.CountOnly();
+          slot.stats = query.Execute();
         } else {
-          const std::vector<PreparedSet>& inputs = state->inputs[s];
-          bool any_empty = false;
-          for (const PreparedSet& input : inputs) {
-            if (input.size() == 0) any_empty = true;
-          }
-          if (any_empty) {
-            // A shard where any operand is empty intersects to empty —
-            // answered, no engine call.
-            slot.stats.num_sets = inputs.size();
-            slot.computed = true;
-          } else {
-            std::vector<const PreparedSet*> ptrs;
-            ptrs.reserve(inputs.size());
-            for (const PreparedSet& input : inputs) ptrs.push_back(&input);
-            fsi::Query query = engines_[s].Query(
-                std::span<const PreparedSet* const>(ptrs.data(), ptrs.size()));
-            if (!options.ordered || options.count_only) query.Unordered();
-            query.Limit(options.limit);
-            if (options.count_only) {
-              query.CountOnly();
-              slot.stats = query.Execute();
-            } else {
-              slot.stats = query.ExecuteInto(&slot.elems);
-            }
-            slot.computed = true;
-          }
+          slot.stats = query.ExecuteInto(&slot.elems);
         }
+        slot.computed = true;
       }
       // else: the deadline fired before this task started — report the
       // shard as missed (computing anyway could not make the gather).

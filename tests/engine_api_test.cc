@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -118,43 +119,70 @@ TEST_P(EngineSinksTest, AllSinksAgree) {
 
   std::vector<PreparedSet> prepared;
   for (const ElemList& l : lists) prepared.push_back(engine.Prepare(l));
+  std::vector<Expr> leaves;
+  for (const PreparedSet& p : prepared) leaves.push_back(Expr::Set(p));
+  const Expr conjunction = Expr::And(leaves);
 
-  // Materialize (ordered): exact match.
-  EXPECT_EQ(engine.Query(prepared).Materialize(), expected);
+  // Every sink runs twice: as the flat query and as the equivalent And
+  // expression, which runs through the same evaluator.
+  const std::vector<std::function<Query()>> builders = {
+      [&] { return engine.Query(prepared); },
+      [&] { return engine.Query(conjunction); }};
+  for (std::size_t b = 0; b < builders.size(); ++b) {
+    SCOPED_TRACE(b == 0 ? "Query(sets)" : "Query(Expr::And)");
+    const std::function<Query()>& query = builders[b];
 
-  // Unordered: same set.
-  ElemList unordered = engine.Query(prepared).Unordered().Materialize();
-  std::sort(unordered.begin(), unordered.end());
-  EXPECT_EQ(unordered, expected);
+    // Materialize (ordered): exact match.
+    EXPECT_EQ(query().Materialize(), expected);
 
-  // Count-only sink.
-  EXPECT_EQ(engine.Query(prepared).Count(), expected.size());
+    // Unordered: same set.
+    ElemList unordered = query().Unordered().Materialize();
+    std::sort(unordered.begin(), unordered.end());
+    EXPECT_EQ(unordered, expected);
 
-  // CountOnly().Execute() fluent spelling.
-  EXPECT_EQ(engine.Query(prepared).CountOnly().Execute().result_size,
-            expected.size());
+    // Count-only sink.
+    EXPECT_EQ(query().Count(), expected.size());
 
-  // Visitor sink collects the same elements.
-  ElemList visited;
-  std::size_t n = engine.Query(prepared).Visit(
-      [&visited](Elem e) { visited.push_back(e); });
-  EXPECT_EQ(n, expected.size());
-  EXPECT_EQ(visited, expected);
+    // CountOnly().Execute() fluent spelling.
+    EXPECT_EQ(query().CountOnly().Execute().result_size, expected.size());
 
-  // Early-stopping visitor.
-  std::size_t seen = 0;
-  engine.Query(prepared).Visit([&seen](Elem) {
-    ++seen;
-    return seen < 5;
-  });
-  EXPECT_EQ(seen, std::min<std::size_t>(5, expected.size()));
+    // Visitor sink collects the same elements.
+    ElemList visited;
+    std::size_t n =
+        query().Visit([&visited](Elem e) { visited.push_back(e); });
+    EXPECT_EQ(n, expected.size());
+    EXPECT_EQ(visited, expected);
 
-  // Limit: an ordered limited query returns the first elements.
-  ElemList limited = engine.Query(prepared).Limit(10).Materialize();
-  std::size_t want = std::min<std::size_t>(10, expected.size());
-  EXPECT_EQ(limited.size(), want);
-  EXPECT_TRUE(std::equal(limited.begin(), limited.end(), expected.begin()));
-  EXPECT_EQ(engine.Query(prepared).Limit(10).Count(), want);
+    // Early-stopping visitor.
+    std::size_t seen = 0;
+    query().Visit([&seen](Elem) {
+      ++seen;
+      return seen < 5;
+    });
+    EXPECT_EQ(seen, std::min<std::size_t>(5, expected.size()));
+
+    // Limit: an ordered limited query returns the first elements.
+    ElemList limited = query().Limit(10).Materialize();
+    std::size_t want = std::min<std::size_t>(10, expected.size());
+    EXPECT_EQ(limited.size(), want);
+    EXPECT_TRUE(std::equal(limited.begin(), limited.end(), expected.begin()));
+    EXPECT_EQ(query().Limit(10).Count(), want);
+  }
+
+  // Both spellings report the same structural stats and prediction, at
+  // build and after a run.
+  Query flat = builders[0]();
+  Query tree = builders[1]();
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE(run == 0 ? "at build" : "after a run");
+    EXPECT_EQ(flat.stats().num_sets, tree.stats().num_sets);
+    EXPECT_EQ(flat.stats().elements_scanned, tree.stats().elements_scanned);
+    EXPECT_EQ(flat.stats().groups_probed, tree.stats().groups_probed);
+    EXPECT_DOUBLE_EQ(flat.stats().predicted_micros,
+                     tree.stats().predicted_micros);
+    flat.Materialize();
+    tree.Materialize();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

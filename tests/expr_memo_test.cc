@@ -117,6 +117,30 @@ TEST(ExprMemoTest, DisabledCacheStillCorrect) {
   EXPECT_EQ(engine.Query(expr).Materialize(), (ElemList{2, 3}));
 }
 
+TEST(ExprMemoTest, EntriesPinOnlyTheirOwnSubtree) {
+  // An entry is charged |result| * sizeof(Elem), one pointer per pinned
+  // leaf structure and a fixed bookkeeping overhead (kEntryOverheadBytes
+  // in api/expr.cc).  And(a, b) pins a and b; the root Or pins all three.
+  constexpr std::size_t kEntryOverhead = 128;
+  Engine engine;
+  PreparedSet a = engine.Prepare({1, 2, 3, 4});
+  PreparedSet b = engine.Prepare({2, 4, 6});
+  PreparedSet c = engine.Prepare({7, 8});
+  const ElemList got =
+      engine
+          .Query(Expr::Or({Expr::And({Expr::Set(a), Expr::Set(b)}),
+                           Expr::Set(c)}))
+          .Materialize();
+  ASSERT_EQ(got, (ElemList{2, 4, 7, 8}));
+  const ExprCacheStats stats = engine.expr_cache()->stats();
+  ASSERT_EQ(stats.entries, 2u);
+  const std::size_t and_entry =
+      2 * sizeof(Elem) + 2 * sizeof(void*) + kEntryOverhead;
+  const std::size_t or_entry =
+      4 * sizeof(Elem) + 3 * sizeof(void*) + kEntryOverhead;
+  EXPECT_EQ(stats.bytes, and_entry + or_entry);
+}
+
 TEST(ExprMemoTest, TinyCacheEvictsButStaysCorrect) {
   EngineOptions options;
   options.expr_cache_bytes = 512;  // a handful of entries at most

@@ -86,6 +86,27 @@ void ExpectAllSinksAgree(const Engine& engine,
   ElemList limited = engine.Query(mutated).Limit(cap).Materialize();
   ElemList head(expected.begin(), expected.begin() + cap);
   EXPECT_EQ(limited, head) << label;
+
+  // The same query as an And expression over the mutable handles runs
+  // through the same evaluator: same results on every sink, same
+  // structural stats and prediction.
+  std::vector<Expr> leaves;
+  for (const PreparedSet* s : mutated) leaves.push_back(Expr::Set(*s));
+  const Expr conjunction = Expr::And(leaves);
+  EXPECT_EQ(engine.Query(conjunction).Materialize(), expected) << label;
+  EXPECT_EQ(engine.Query(conjunction).Count(), expected.size()) << label;
+  ElemList tree_unordered =
+      engine.Query(conjunction).Unordered().Materialize();
+  std::sort(tree_unordered.begin(), tree_unordered.end());
+  EXPECT_EQ(tree_unordered, expected) << label;
+  EXPECT_EQ(engine.Query(conjunction).Limit(cap).Materialize(), head)
+      << label;
+  const QueryStats flat = engine.Query(mutated).stats();
+  const QueryStats tree = engine.Query(conjunction).stats();
+  EXPECT_EQ(flat.num_sets, tree.num_sets) << label;
+  EXPECT_EQ(flat.elements_scanned, tree.elements_scanned) << label;
+  EXPECT_EQ(flat.groups_probed, tree.groups_probed) << label;
+  EXPECT_DOUBLE_EQ(flat.predicted_micros, tree.predicted_micros) << label;
 }
 
 Engine MakeEngine(const std::string& name) {
