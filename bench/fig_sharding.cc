@@ -2,8 +2,8 @@
 // mix (docs/SERVING.md).
 //
 // Each configuration builds one ShardedEngine over a fixed-seed corpus
-// and serves a fixed query log via ServeBatch (no deadline: the run
-// measures scatter parallelism, not degradation).  "shards:1" is the
+// and serves a fixed query log through Serve, one query at a time (no
+// deadline: the run measures scatter parallelism, not degradation).  "shards:1" is the
 // serial baseline — a single per-shard engine answering on one pool
 // task — so the items_per_second ratio of shards:8 over shards:1 at the
 // same thread count is the speedup the serving layer buys on one query's
@@ -29,6 +29,7 @@
 #include "bench/bench_util.h"
 #include "serve/sharded_engine.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "workload/synthetic.h"
 
 namespace {
@@ -36,7 +37,7 @@ namespace {
 using namespace fsi;
 using namespace fsi::bench;
 
-constexpr std::size_t kBatch = 24;  // queries per ServeBatch iteration
+constexpr std::size_t kBatch = 24;  // queries served per iteration
 
 // The universe and list sizes are chosen so one query costs ~1ms serially
 // in Release: chunky enough that an 8-way scatter's per-shard slice
@@ -122,19 +123,22 @@ void BM_Sharding(benchmark::State& state, const Mix& mix, std::size_t shards,
   Ctx& ctx = GetCtx(mix, shards, threads);
   std::size_t served = 0;
   std::size_t result_size = 0;
+  SampleStats latency;
   for (auto _ : state) {
-    std::vector<ServeResult> results = ctx.engine.ServeBatch(ctx.log);
-    benchmark::DoNotOptimize(results.data());
-    served += results.size();
-    result_size = results.front().result_size;
+    for (const ShardedEngine::ShardedQuery& query : ctx.log) {
+      ServeResult result = ctx.engine.Serve(query);
+      benchmark::DoNotOptimize(result.elems.data());
+      latency.Add(result.wall_micros);
+      result_size = result.result_size;
+      ++served;
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(served));
-  const BatchStats& stats = ctx.engine.batch_stats();
   state.counters["shards"] = static_cast<double>(shards);
   state.counters["threads"] = static_cast<double>(threads);
-  state.counters["p50_us"] = stats.p50_micros;
-  state.counters["p95_us"] = stats.p95_micros;
-  state.counters["p99_us"] = stats.p99_micros;
+  state.counters["p50_us"] = latency.Percentile(0.50);
+  state.counters["p95_us"] = latency.Percentile(0.95);
+  state.counters["p99_us"] = latency.Percentile(0.99);
   state.counters["result_size"] = static_cast<double>(result_size);
 }
 

@@ -82,9 +82,8 @@ int main(int argc, char** argv) {
           loaded->engine.num_shards(), loaded->sets.size(), mapped,
           zero_copy, total);
     } catch (const storage::SnapshotError& error) {
-      // The old behaviour was a silent exit on an unreadable snapshot;
-      // surface the typed error and rebuild instead.  A plain missing
-      // file (kIo on the manifest) is the normal first run — quiet.
+      // Surface the typed error and rebuild.  A plain missing image
+      // (kIo) is the normal first run — quiet.
       if (error.code() != storage::SnapshotErrorCode::kIo) {
         std::fprintf(stderr,
                      "warning: snapshot %s unusable (%s); rebuilding\n",

@@ -260,8 +260,8 @@ def sharding_scaling(benchmarks):
     """The fig_sharding latency/throughput table, per query mix.
 
     Benchmark names are ``sharding/<mix>/shards:S/threads:T``; each row
-    carries items_per_second plus p50/p95/p99 latency counters from the
-    serving layer's ServeBatch.  ``speedup_vs_1_shard`` is the
+    carries items_per_second plus p50/p95/p99 latency counters over the
+    ``ServeResult::wall_micros`` of every ``Serve`` call it made.  ``speedup_vs_1_shard`` is the
     items_per_second ratio of each shard count over shards:1 at the same
     thread count — scatter-gather's per-query parallelism, the number CI
     gates at >= 3x for 8 shards (docs/SERVING.md, docs/BENCHMARKS.md).

@@ -98,12 +98,6 @@ struct BatchStats {
   double max_micros = 0.0;
   /// num_queries / batch wall time.
   double queries_per_second = 0.0;
-  /// Queries that missed their deadline (kExpired + kPartial).  Always 0
-  /// for BatchRunner (no deadlines); filled by ShardedEngine::ServeBatch.
-  std::size_t deadline_misses = 0;
-  /// Queries refused at admission (kRejected) — excluded from the
-  /// latency percentiles.  Always 0 for BatchRunner.
-  std::size_t rejected = 0;
 };
 
 /// Executes batches of queries against one Engine on a persistent worker

@@ -2,15 +2,17 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <cstring>
 #include <exception>
 #include <fstream>
 #include <functional>
 #include <mutex>
-#include <sstream>
+#include <random>
+#include <type_traits>
 #include <utility>
 
-#include "storage/layout.h"
-#include "util/stats.h"
+#include "storage/mapped_file.h"
+#include "storage/snapshot.h"
 #include "util/timer.h"
 
 namespace fsi {
@@ -19,8 +21,21 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr char kManifestMagic[] = "fsi-sharded-manifest";
-constexpr int kManifestVersion = 1;
+/// The kSectionShardMap record of one shard image: which save it
+/// belongs to and where it sits in it.  Fields keep their in-memory
+/// widths, so no value truncates on the way through the file.
+struct ShardMapRecord {
+  std::uint64_t num_shards = 0;
+  std::uint64_t shard = 0;
+  Elem universe_bound = 0;
+  std::uint32_t reserved = 0;
+  std::uint64_t num_sets = 0;
+  std::uint64_t save_id = 0;  // fresh per SaveSnapshot call
+
+  bool operator==(const ShardMapRecord&) const = default;
+};
+static_assert(sizeof(ShardMapRecord) == 40 &&
+              std::is_trivially_copyable_v<ShardMapRecord>);
 
 std::string ShardPath(const std::string& path, std::size_t shard) {
   return path + ".shard" + std::to_string(shard);
@@ -124,18 +139,103 @@ ShardedSet ShardedEngine::Prepare(std::span<const Elem> set) const {
   return ShardedSet(tag_, std::move(shards), set.size());
 }
 
-void ShardedEngine::CheckQuery(std::span<const ShardedSet* const> sets) const {
-  for (const ShardedSet* set : sets) {
-    if (set == nullptr || set->empty_handle()) {
-      throw std::invalid_argument(
-          "ShardedEngine::Serve: empty ShardedSet handle");
-    }
-    if (set->tag_ != tag_) {
-      throw std::invalid_argument(
-          "ShardedEngine::Serve: set was prepared by a different "
-          "ShardedEngine");
-    }
+template <typename Handle>
+void ShardedEngine::CheckHandle(const Handle* handle) const {
+  if (handle == nullptr || handle->empty_handle()) {
+    throw std::invalid_argument("ShardedEngine: empty handle");
   }
+  // A leafless expression (None) carries no tag and fits every engine.
+  if (handle->tag_ != nullptr && handle->tag_ != tag_) {
+    throw std::invalid_argument(
+        "ShardedEngine: input was prepared by a different ShardedEngine");
+  }
+}
+
+// --- ShardedExpr -----------------------------------------------------------
+
+Expr ShardedExpr::Shard(std::size_t s) const {
+  if (tag_ != nullptr) return shards_[s];
+  return none_ ? Expr::None() : Expr();
+}
+
+template <typename Build>
+ShardedExpr ShardedExpr::Combine(const std::vector<ShardedExpr>& children,
+                                 Build build) {
+  const ShardedExpr* tagged = nullptr;
+  for (const ShardedExpr& c : children) {
+    if (c.tag_ == nullptr) continue;
+    if (tagged != nullptr && c.tag_ != tagged->tag_) {
+      throw std::invalid_argument(
+          "ShardedExpr: children were prepared by different ShardedEngines");
+    }
+    tagged = &c;
+  }
+  ShardedExpr out;
+  const std::size_t num_shards = tagged != nullptr ? tagged->shards_.size() : 1;
+  out.shards_.reserve(num_shards);
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    std::vector<Expr> shard_children;
+    shard_children.reserve(children.size());
+    for (const ShardedExpr& c : children) shard_children.push_back(c.Shard(s));
+    out.shards_.push_back(build(std::move(shard_children)));
+  }
+  // No leaf anywhere below: every such tree is the empty set.
+  if (tagged == nullptr) return None();
+  out.tag_ = tagged->tag_;
+  return out;
+}
+
+ShardedExpr ShardedExpr::Set(const ShardedSet& set) {
+  if (set.empty_handle()) {
+    throw std::invalid_argument("ShardedExpr::Set: empty ShardedSet handle");
+  }
+  ShardedExpr out;
+  out.tag_ = set.tag_;
+  out.shards_.reserve(set.num_shards());
+  for (std::size_t s = 0; s < set.num_shards(); ++s) {
+    out.shards_.push_back(Expr::Set(set.shard(s)));
+  }
+  return out;
+}
+
+ShardedExpr ShardedExpr::And(std::vector<ShardedExpr> children) {
+  return Combine(children, [](std::vector<Expr> c) {
+    return Expr::And(std::move(c));
+  });
+}
+
+ShardedExpr ShardedExpr::Or(std::vector<ShardedExpr> children) {
+  return Combine(children, [](std::vector<Expr> c) {
+    return Expr::Or(std::move(c));
+  });
+}
+
+ShardedExpr ShardedExpr::Diff(ShardedExpr include, ShardedExpr exclude) {
+  return Combine({std::move(include), std::move(exclude)},
+                 [](std::vector<Expr> c) {
+                   return Expr::Diff(std::move(c[0]), std::move(c[1]));
+                 });
+}
+
+ShardedExpr ShardedExpr::AtLeast(std::size_t threshold,
+                                 std::vector<ShardedExpr> children) {
+  return Combine(children, [threshold](std::vector<Expr> c) {
+    return Expr::AtLeast(threshold, std::move(c));
+  });
+}
+
+ShardedExpr ShardedExpr::None() {
+  ShardedExpr out;
+  out.none_ = true;
+  return out;
+}
+
+// --- Serve -----------------------------------------------------------------
+
+ServeResult ShardedEngine::Serve(std::span<const ShardedSet* const> sets,
+                                 ServeOptions options) const {
+  Timer wall;
+  for (const ShardedSet* set : sets) CheckHandle(set);
   const std::size_t max_arity = engines_.front().max_query_sets();
   if (sets.size() > max_arity) {
     throw std::invalid_argument(
@@ -143,143 +243,8 @@ void ShardedEngine::CheckQuery(std::span<const ShardedSet* const> sets) const {
         " sets but the per-shard algorithm supports at most " +
         std::to_string(max_arity));
   }
-}
-
-// --- ShardedExpr -----------------------------------------------------------
-
-ShardedExpr ShardedExpr::Set(const ShardedSet& set) {
-  if (set.empty_handle()) {
-    throw std::invalid_argument("ShardedExpr::Set: empty ShardedSet handle");
-  }
-  Node node;
-  node.kind = ExprKind::kSet;
-  node.leaf = set;
-  return ShardedExpr(std::make_shared<const Node>(std::move(node)));
-}
-
-namespace {
-void CheckShardedChildren(const char* builder,
-                          const std::vector<ShardedExpr>& children) {
-  if (children.empty()) {
-    throw std::invalid_argument(std::string("ShardedExpr::") + builder +
-                                ": at least one child required");
-  }
-  for (const ShardedExpr& c : children) {
-    if (c.empty_handle()) {
-      throw std::invalid_argument(std::string("ShardedExpr::") + builder +
-                                  ": empty handle among children");
-    }
-  }
-}
-}  // namespace
-
-ShardedExpr ShardedExpr::And(std::vector<ShardedExpr> children) {
-  CheckShardedChildren("And", children);
-  Node node;
-  node.kind = ExprKind::kAnd;
-  node.children = std::move(children);
-  return ShardedExpr(std::make_shared<const Node>(std::move(node)));
-}
-
-ShardedExpr ShardedExpr::Or(std::vector<ShardedExpr> children) {
-  CheckShardedChildren("Or", children);
-  Node node;
-  node.kind = ExprKind::kOr;
-  node.children = std::move(children);
-  return ShardedExpr(std::make_shared<const Node>(std::move(node)));
-}
-
-ShardedExpr ShardedExpr::Diff(ShardedExpr include, ShardedExpr exclude) {
-  if (include.empty_handle() || exclude.empty_handle()) {
-    throw std::invalid_argument("ShardedExpr::Diff: empty handle");
-  }
-  Node node;
-  node.kind = ExprKind::kDiff;
-  node.children.push_back(std::move(include));
-  node.children.push_back(std::move(exclude));
-  return ShardedExpr(std::make_shared<const Node>(std::move(node)));
-}
-
-ShardedExpr ShardedExpr::AtLeast(std::size_t threshold,
-                                 std::vector<ShardedExpr> children) {
-  if (threshold == 0) {
-    throw std::invalid_argument("ShardedExpr::AtLeast: threshold must be >= 1");
-  }
-  CheckShardedChildren("AtLeast", children);
-  Node node;
-  node.kind = ExprKind::kAtLeast;
-  node.threshold = threshold;
-  node.children = std::move(children);
-  return ShardedExpr(std::make_shared<const Node>(std::move(node)));
-}
-
-ShardedExpr ShardedExpr::None() {
-  return ShardedExpr(std::make_shared<const Node>());
-}
-
-std::size_t ShardedExpr::num_leaves() const {
-  if (node_ == nullptr) return 0;
-  if (node_->kind == ExprKind::kSet) return 1;
-  std::size_t total = 0;
-  for (const ShardedExpr& c : node_->children) total += c.num_leaves();
-  return total;
-}
-
-Expr ShardedExpr::Project(std::size_t s) const {
-  switch (node_->kind) {
-    case ExprKind::kSet:
-      return Expr::Set(node_->leaf.shard(s));
-    case ExprKind::kNone:
-      return Expr::None();
-    case ExprKind::kDiff:
-      return Expr::Diff(node_->children[0].Project(s),
-                        node_->children[1].Project(s));
-    default: {
-      std::vector<Expr> children;
-      children.reserve(node_->children.size());
-      for (const ShardedExpr& c : node_->children) {
-        children.push_back(c.Project(s));
-      }
-      if (node_->kind == ExprKind::kAnd) return Expr::And(std::move(children));
-      if (node_->kind == ExprKind::kOr) return Expr::Or(std::move(children));
-      return Expr::AtLeast(node_->threshold, std::move(children));
-    }
-  }
-}
-
-void ShardedEngine::CheckExpr(const ShardedExpr& expr) const {
-  const ShardedExpr::Node* node = expr.node_.get();
-  if (node->kind == ExprKind::kSet) {
-    if (node->leaf.empty_handle() || node->leaf.tag_ != tag_) {
-      throw std::invalid_argument(
-          "ShardedEngine::Serve: ShardedExpr leaf was prepared by a "
-          "different ShardedEngine");
-    }
-    if (node->leaf.num_shards() != map_.num_shards()) {
-      throw std::invalid_argument(
-          "ShardedEngine::Serve: ShardedExpr leaf has a mismatched shard "
-          "count");
-    }
-  }
-  for (const ShardedExpr& c : node->children) CheckExpr(c);
-}
-
-ServeResult ShardedEngine::Serve(std::span<const ShardedSet* const> sets,
-                                 ServeOptions options) const {
-  Timer wall;
-  CheckQuery(sets);
-  const std::size_t num_shards = map_.num_shards();
-
-  if (sets.empty()) {
-    // An empty query intersects nothing: complete, empty result, no
-    // scatter — mirrors Engine::Query({}).
-    ServeResult out;
-    out.shards_answered = num_shards;
-    out.wall_micros = Micros(wall);
-    return out;
-  }
-
   // Per-shard copies of the input handles: [shard][set].
+  const std::size_t num_shards = map_.num_shards();
   std::vector<std::vector<PreparedSet>> inputs(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
     inputs[s].reserve(sets.size());
@@ -295,20 +260,10 @@ ServeResult ShardedEngine::Serve(std::span<const ShardedSet* const> sets,
 ServeResult ShardedEngine::Serve(const ShardedExpr& expr,
                                  ServeOptions options) const {
   Timer wall;
-  if (expr.empty_handle()) {
-    throw std::invalid_argument(
-        "ShardedEngine::Serve: empty ShardedExpr handle");
-  }
-  CheckExpr(expr);
-  const std::size_t num_shards = map_.num_shards();
-  std::vector<Expr> exprs;
-  exprs.reserve(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    exprs.push_back(expr.Project(s));
-  }
+  CheckHandle(&expr);
   auto state = std::make_shared<QueryState>();
-  state->make_query = [this, exprs = std::move(exprs)](std::size_t s) {
-    return engines_[s].Query(exprs[s]);
+  state->make_query = [this, expr](std::size_t s) {
+    return engines_[s].Query(expr.Shard(s));
   };
   return ServeScattered(std::move(state), options, wall);
 }
@@ -447,51 +402,6 @@ ServeResult ShardedEngine::ServeScattered(std::shared_ptr<QueryState> state,
   return out;
 }
 
-std::vector<ServeResult> ShardedEngine::ServeBatch(
-    std::span<const ShardedQuery> queries, ServeOptions options) {
-  batch_stats_ = BatchStats{};
-  batch_stats_.num_queries = queries.size();
-  batch_stats_.num_threads = pool_.num_threads();
-
-  std::vector<ServeResult> results;
-  results.reserve(queries.size());
-  SampleStats latency;
-  Timer batch_timer;
-  for (const ShardedQuery& query : queries) {
-    ServeResult result = Serve(
-        std::span<const ShardedSet* const>(query.data(), query.size()),
-        options);
-    switch (result.status) {
-      case ServeStatus::kRejected:
-        ++batch_stats_.rejected;
-        break;
-      case ServeStatus::kExpired:
-      case ServeStatus::kPartial:
-        ++batch_stats_.deadline_misses;
-        break;
-      case ServeStatus::kOk:
-        break;
-    }
-    if (result.status != ServeStatus::kRejected) {
-      latency.Add(result.wall_micros);
-      batch_stats_.elements_scanned += result.elements_scanned;
-      batch_stats_.predicted_micros += result.predicted_micros;
-      batch_stats_.total_results += result.result_size;
-    }
-    results.push_back(std::move(result));
-  }
-  batch_stats_.wall_ms = batch_timer.ElapsedMillis();
-  batch_stats_.p50_micros = latency.Percentile(0.50);
-  batch_stats_.p95_micros = latency.Percentile(0.95);
-  batch_stats_.p99_micros = latency.Percentile(0.99);
-  batch_stats_.max_micros = latency.Max();
-  if (batch_stats_.wall_ms > 0.0) {
-    batch_stats_.queries_per_second =
-        static_cast<double>(queries.size()) / (batch_stats_.wall_ms * 1e-3);
-  }
-  return results;
-}
-
 ServeCounters ShardedEngine::counters() const {
   ServeCounters counters;
   counters.admitted = admission_.admitted();
@@ -506,33 +416,33 @@ ServeCounters ShardedEngine::counters() const {
 void ShardedEngine::SaveSnapshot(
     const std::string& path,
     std::span<const ShardedSet* const> sets) const {
-  for (const ShardedSet* set : sets) {
-    if (set == nullptr || set->empty_handle() || set->tag_ != tag_) {
-      throw std::invalid_argument(
-          "ShardedEngine::SaveSnapshot: sets must be non-empty handles "
-          "prepared by this engine");
-    }
-  }
-  // One independent engine image per shard...
+  for (const ShardedSet* set : sets) CheckHandle(set);
+  std::random_device entropy;
+  ShardMapRecord record;
+  record.num_shards = map_.num_shards();
+  record.num_sets = sets.size();
+  record.save_id = (std::uint64_t{entropy()} << 32) | entropy();
+  record.universe_bound = options_.universe_bound;
+  // One independent, self-describing engine image per shard.
+  std::vector<const PreparedSet*> shard_sets(sets.size());
   for (std::size_t s = 0; s < map_.num_shards(); ++s) {
-    std::vector<PreparedSet> shard_sets;
-    shard_sets.reserve(sets.size());
-    for (const ShardedSet* set : sets) shard_sets.push_back(set->shards_[s]);
-    engines_[s].SaveSnapshot(ShardPath(path, s),
-                             std::span<const PreparedSet>(shard_sets));
-  }
-  // ... and the manifest last, so a crashed save never leaves a
-  // manifest pointing at missing shard images.
-  std::ofstream manifest(path, std::ios::trunc);
-  manifest << kManifestMagic << ' ' << kManifestVersion << '\n'
-           << "num_shards " << map_.num_shards() << '\n'
-           << "universe_bound " << options_.universe_bound << '\n'
-           << "num_sets " << sets.size() << '\n';
-  manifest.flush();
-  if (!manifest) {
-    throw storage::SnapshotError(storage::SnapshotErrorCode::kIo,
-                                 "ShardedEngine::SaveSnapshot: cannot write "
-                                 "manifest " + path);
+    for (std::size_t j = 0; j < sets.size(); ++j) {
+      shard_sets[j] = &sets[j]->shards_[s];
+    }
+    record.shard = s;
+    const std::string shard_path = ShardPath(path, s);
+    std::ofstream out(shard_path, std::ios::binary | std::ios::trunc);
+    if (!out) {
+      throw storage::SnapshotError(
+          storage::SnapshotErrorCode::kIo,
+          "snapshot: cannot open '" + shard_path + "' for writing");
+    }
+    storage::SnapshotWriter writer(out);
+    engines_[s].WriteSnapshotSections(writer, shard_sets);
+    writer.AddSection(storage::kSectionShardMap,
+                      std::as_bytes(std::span(&record, 1)),
+                      storage::kSectionFlagCritical);
+    writer.Finish();
   }
 }
 
@@ -541,49 +451,53 @@ LoadedShardedSnapshot ShardedEngine::LoadSnapshot(const std::string& path,
   using storage::SnapshotError;
   using storage::SnapshotErrorCode;
 
-  std::ifstream manifest(path);
-  if (!manifest) {
-    throw SnapshotError(SnapshotErrorCode::kIo,
-                        "ShardedEngine::LoadSnapshot: cannot open manifest " +
-                            path);
-  }
-  std::string magic;
-  int version = 0;
-  manifest >> magic >> version;
-  if (!manifest || magic != kManifestMagic) {
-    throw SnapshotError(SnapshotErrorCode::kBadMagic,
-                        path + " is not a sharded-snapshot manifest");
-  }
-  if (version != kManifestVersion) {
-    throw SnapshotError(SnapshotErrorCode::kBadVersion,
-                        path + ": manifest version " +
-                            std::to_string(version) + " is unsupported");
-  }
-  std::size_t num_shards = 0;
-  unsigned long long universe_bound = 0;
-  std::size_t num_sets = 0;
-  std::string key;
-  if (!(manifest >> key >> num_shards) || key != "num_shards" ||
-      !(manifest >> key >> universe_bound) || key != "universe_bound" ||
-      !(manifest >> key >> num_sets) || key != "num_sets") {
-    throw SnapshotError(SnapshotErrorCode::kCorrupt,
-                        path + ": malformed sharded-snapshot manifest");
-  }
-
+  ShardMapRecord first;  // shard 0's record: what every image must match
+  std::size_t num_shards = 1;  // until shard 0's record says otherwise
   std::vector<Engine> engines;
-  engines.reserve(num_shards);
   std::vector<std::vector<PreparedSet>> per_shard_sets;
-  per_shard_sets.reserve(num_shards);
   std::vector<SnapshotInfo> infos;
-  infos.reserve(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
-    LoadedSnapshot loaded =
-        Engine::LoadSnapshot(ShardPath(path, s), options.snapshot);
-    if (loaded.sets.size() != num_sets) {
+    const std::string shard_path = ShardPath(path, s);
+    auto backing = std::make_shared<const storage::MappedFile>(
+        shard_path, /*prefault=*/options.snapshot.verify_checksums);
+    storage::SnapshotReader reader(
+        backing->bytes(),
+        storage::SnapshotReader::Options{options.snapshot.verify_checksums});
+    const auto section =
+        reader.RequireSection(storage::kSectionShardMap, "shard map");
+    ShardMapRecord record;
+    if (section.size() != sizeof(record)) {
+      throw SnapshotError(SnapshotErrorCode::kCorrupt,
+                          shard_path + ": shard-map section of " +
+                              std::to_string(section.size()) + " bytes");
+    }
+    std::memcpy(&record, section.data(), sizeof(record));
+    if (s == 0) {
+      // The shard count sizes everything below: check it first.
+      try {
+        static_cast<void>(ShardMap(record.num_shards, record.universe_bound));
+      } catch (const std::invalid_argument& error) {
+        throw SnapshotError(SnapshotErrorCode::kCorrupt,
+                            shard_path + ": " + error.what());
+      }
+      first = record;
+      num_shards = record.num_shards;
+    }
+    ShardMapRecord expected = first;
+    expected.shard = s;
+    if (record != expected) {
       throw SnapshotError(
           SnapshotErrorCode::kCorrupt,
-          ShardPath(path, s) + ": expected " + std::to_string(num_sets) +
-              " sets per the manifest, found " +
+          shard_path + ": not shard " + std::to_string(s) + " of the save " +
+              ShardPath(path, 0) + " belongs to");
+    }
+    LoadedSnapshot loaded = Engine::LoadSnapshotSections(
+        reader, std::move(backing), options.snapshot);
+    if (loaded.sets.size() != record.num_sets) {
+      throw SnapshotError(
+          SnapshotErrorCode::kCorrupt,
+          shard_path + ": expected " + std::to_string(record.num_sets) +
+              " sets per its shard map, found " +
               std::to_string(loaded.sets.size()));
     }
     engines.push_back(std::move(loaded.engine));
@@ -591,22 +505,20 @@ LoadedShardedSnapshot ShardedEngine::LoadSnapshot(const std::string& path,
     infos.push_back(std::move(loaded.info));
   }
 
-  ShardedEngineOptions engine_options;
-  engine_options.num_shards = num_shards;
-  engine_options.universe_bound = static_cast<Elem>(universe_bound);
-  if (!engines.empty()) {
-    engine_options.spec = engines.front().spec();
-    engine_options.seed = engines.front().seed();
-  }
-  engine_options.validation = options.snapshot.validation;
-  engine_options.num_threads = options.num_threads;
-  engine_options.max_in_flight = options.max_in_flight;
-  engine_options.default_deadline = options.default_deadline;
+  ShardedEngineOptions engine_options{
+      .num_shards = num_shards,
+      .universe_bound = first.universe_bound,
+      .spec = engines.front().spec(),
+      .seed = engines.front().seed(),
+      .validation = options.snapshot.validation,
+      .num_threads = options.num_threads,
+      .max_in_flight = options.max_in_flight,
+      .default_deadline = options.default_deadline};
 
   auto tag = std::make_shared<const int>(0);
   std::vector<ShardedSet> sets;
-  sets.reserve(num_sets);
-  for (std::size_t j = 0; j < num_sets; ++j) {
+  sets.reserve(first.num_sets);
+  for (std::size_t j = 0; j < first.num_sets; ++j) {
     std::vector<PreparedSet> shards;
     shards.reserve(num_shards);
     std::size_t total = 0;

@@ -40,17 +40,23 @@
 //     blocked caller.  See docs/SERVING.md, "The partial-result
 //     contract".
 //
-// Serve() is safe to call concurrently from any number of front-end
-// threads (admission, counters and the scatter pool are all internally
-// synchronized); ServeBatch() mirrors BatchRunner's single-driver
-// convention and fills a BatchStats with p50/p95/p99 latency and the
-// deadline-miss/rejection counts.  Do not call Serve from inside a task
-// running on this engine's own pool (the gather would deadlock the
-// pool on itself — same restriction as ThreadPool itself).
+// Serve is the only query entry point: a flat conjunction of sets or a
+// ShardedExpr, both scattered as S ordinary per-shard Engine queries.
+// Every method is const and safe to call concurrently from any number
+// of front-end threads (admission, counters and the scatter pool are
+// all internally synchronized); a caller that wants batch percentiles
+// collects ServeResult::wall_micros itself.  Do not call Serve from
+// inside a task running on this engine's own pool (the gather would
+// deadlock the pool on itself — same restriction as ThreadPool itself).
+//
+// Snapshots are one self-describing engine image per shard; a load
+// rejects a missing image, or one from another save, with a typed
+// storage::SnapshotError.
 
 #ifndef FSI_SERVE_SHARDED_ENGINE_H_
 #define FSI_SERVE_SHARDED_ENGINE_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -62,7 +68,6 @@
 #include <string_view>
 #include <vector>
 
-#include "api/batch_runner.h"
 #include "api/engine.h"
 #include "api/expr.h"
 #include "api/thread_pool.h"
@@ -186,6 +191,7 @@ class ShardedSet {
 
  private:
   friend class ShardedEngine;
+  friend class ShardedExpr;
   ShardedSet(std::shared_ptr<const int> tag, std::vector<PreparedSet> shards,
              std::size_t total)
       : tag_(std::move(tag)), shards_(std::move(shards)), total_(total) {}
@@ -195,13 +201,16 @@ class ShardedSet {
   std::size_t total_ = 0;
 };
 
-/// A boolean expression over sharded sets — the serving-tier mirror of
-/// fsi::Expr (api/expr.h): And/Or/Diff/AtLeast/None with ShardedSet
-/// leaves.  Because every shard owns a contiguous id range and all of
-/// the algebra's operations are element-local, evaluating the projected
-/// per-shard expression on each shard and concatenating in shard order
+/// A boolean expression over sharded sets: And/Or/Diff/AtLeast/None with
+/// ShardedSet leaves, held as its per-shard fsi::Expr trees (api/expr.h),
+/// one per shard, built once.  Because every shard owns a contiguous id
+/// range and all of the algebra's operations are element-local,
+/// evaluating shard s's tree on shard s and concatenating in shard order
 /// is bitwise-identical to single-engine evaluation over the unsharded
-/// corpus.  Value-semantic and immutable, like Expr.
+/// corpus.  Each builder calls the matching Expr builder once per shard,
+/// so Expr's own checks validate the children; children built by two
+/// different engines throw std::invalid_argument.  Value-semantic and
+/// immutable, like Expr.
 class ShardedExpr {
  public:
   ShardedExpr() = default;
@@ -221,38 +230,31 @@ class ShardedExpr {
   /// The constant empty set.
   static ShardedExpr None();
 
-  bool empty_handle() const { return node_ == nullptr; }
-  ExprKind kind() const { return node_->kind; }
-  std::size_t num_children() const { return node_->children.size(); }
-  const ShardedExpr& child(std::size_t i) const { return node_->children[i]; }
-  std::size_t threshold() const { return node_->threshold; }
-  const ShardedSet& leaf() const { return node_->leaf; }
-  std::size_t num_leaves() const;
+  bool empty_handle() const { return tag_ == nullptr && !none_; }
 
  private:
   friend class ShardedEngine;
-  struct Node {
-    ExprKind kind = ExprKind::kNone;
-    std::vector<ShardedExpr> children;
-    std::size_t threshold = 0;
-    ShardedSet leaf;
-  };
-  explicit ShardedExpr(std::shared_ptr<const Node> node)
-      : node_(std::move(node)) {}
+  /// Shard s's tree: None() and the empty handle hold none, so they
+  /// stand for Expr::None() and the empty Expr handle on every shard.
+  Expr Shard(std::size_t s) const;
+  /// The one combining builder: `build` runs once per shard over the
+  /// children's shard-s trees (at least once, so its checks run even
+  /// when no child has a leaf).
+  template <typename Build>
+  static ShardedExpr Combine(const std::vector<ShardedExpr>& children,
+                             Build build);
 
-  /// The same tree with every leaf replaced by its shard-`s` prepared
-  /// structure — what each shard task evaluates.
-  Expr Project(std::size_t s) const;
-
-  std::shared_ptr<const Node> node_;
+  std::shared_ptr<const int> tag_;  // owning engine; null: no leaf below
+  std::vector<Expr> shards_;        // one tree per shard when tag_ is set
+  bool none_ = false;               // None(): the empty set, no engine
 };
 
 struct LoadedShardedSnapshot;
 
 /// S per-shard engines behind one shard map, serving scatter-gather
 /// queries with admission control and per-query deadlines.  Immovable
-/// (it owns the scatter ThreadPool); share it by reference — Serve and
-/// Prepare are const and thread-safe.
+/// (it owns the scatter ThreadPool); share it by reference — every
+/// method is const and thread-safe.
 class ShardedEngine {
  public:
   explicit ShardedEngine(ShardedEngineOptions options = {});
@@ -270,7 +272,9 @@ class ShardedEngine {
   /// handle must be non-empty and built by this engine, and the query
   /// arity must fit the per-shard algorithm — violations throw
   /// std::invalid_argument on the calling thread (never a partial
-  /// scatter).  Thread-safe: call from any number of front-end threads.
+  /// scatter).  An empty query is admitted and scattered like any
+  /// other, and answers the empty set.  Thread-safe: call from any
+  /// number of front-end threads.
   ServeResult Serve(std::span<const ShardedSet* const> sets,
                     ServeOptions options = {}) const;
   ServeResult Serve(std::initializer_list<const ShardedSet*> sets,
@@ -280,41 +284,28 @@ class ShardedEngine {
   }
 
   /// Serves one boolean-expression query (And/Or/Diff/AtLeast over
-  /// sharded sets): the expression is projected onto each shard,
-  /// evaluated there by the shard's engine (api/expr.h — including its
-  /// optimizer and memoization cache), and gathered by concatenation —
-  /// bitwise-identical to single-engine evaluation for complete (kOk)
-  /// results.  Same admission/deadline semantics as the conjunctive
-  /// Serve; every leaf must be built by this engine.  Expression queries
-  /// have no arity limit.
+  /// sharded sets): shard s's tree is evaluated by shard s's engine
+  /// (api/expr.h — including its optimizer and memoization cache) and
+  /// the slices are gathered by concatenation — bitwise-identical to
+  /// single-engine evaluation for complete (kOk) results.  Same
+  /// admission/deadline semantics as the conjunctive Serve; the
+  /// expression must be built from this engine's sets (or be None()).
+  /// Expression queries have no arity limit.
   ServeResult Serve(const ShardedExpr& expr, ServeOptions options = {}) const;
 
-  /// One query of a served batch: the sharded sets to intersect.
+  /// One flat query of a query log: the sharded sets to intersect.
   using ShardedQuery = std::vector<const ShardedSet*>;
-
-  /// Serves a query log sequentially from this thread (each query still
-  /// fans out over all shards) and fills batch_stats() with the merged
-  /// latency percentiles (p50/p95/p99/max), throughput and the
-  /// deadline-miss/rejection counts.  Mirrors BatchRunner's driver
-  /// convention: one thread drives a batch; use concurrent Serve calls
-  /// for a multi-frontend deployment.
-  std::vector<ServeResult> ServeBatch(std::span<const ShardedQuery> queries,
-                                      ServeOptions options = {});
-
-  /// Statistics of the most recent ServeBatch.
-  const BatchStats& batch_stats() const { return batch_stats_; }
 
   /// Cumulative serving counters (thread-safe snapshot).
   ServeCounters counters() const;
 
   // Per-shard snapshot persistence (docs/SERVING.md, "Per-shard
-  // snapshots"): `path` holds a small shard-map manifest, and each shard
-  // writes an independent engine image to `path + ".shard<i>"` — shards
-  // cold-start independently, each mmap'd zero-copy
-  // (docs/PERSISTENCE.md).
+  // snapshots"): each shard writes an independent engine image plus its
+  // shard-map section to `path + ".shard<i>"` — shards cold-start
+  // independently, each mmap'd zero-copy (docs/PERSISTENCE.md).
 
-  /// Saves the shard manifest and one engine image per shard.  `sets`
-  /// must all be built by this engine; their order is preserved by Load.
+  /// Saves one self-describing engine image per shard.  `sets` must all
+  /// be built by this engine; their order is preserved by Load.
   void SaveSnapshot(const std::string& path,
                     std::span<const ShardedSet* const> sets) const;
   void SaveSnapshot(const std::string& path,
@@ -332,16 +323,17 @@ class ShardedEngine {
     std::chrono::microseconds default_deadline{0};
   };
 
-  /// Loads a snapshot saved by SaveSnapshot: reads the manifest,
-  /// mmap-loads every shard image, reassembles the sharded sets (same
-  /// order as at save).  Throws storage::SnapshotError on anything
-  /// malformed or missing.
+  /// Loads a snapshot saved by SaveSnapshot: mmap-loads every shard
+  /// image, checks that they all belong to one save, and reassembles the
+  /// sharded sets (same order as at save).  Throws only
+  /// storage::SnapshotError: kIo for a missing image, kCorrupt for
+  /// images that disagree or a shard map out of range, the container's
+  /// own codes for anything else malformed.
   static LoadedShardedSnapshot LoadSnapshot(const std::string& path,
                                             LoadOptions options);
   static LoadedShardedSnapshot LoadSnapshot(const std::string& path);
 
   std::size_t num_shards() const { return map_.num_shards(); }
-  const ShardMap& shard_map() const { return map_; }
   /// The per-shard engine (its spec/seed are uniform across shards).
   const Engine& shard_engine(std::size_t s) const { return engines_[s]; }
   std::size_t num_threads() const { return pool_.num_threads(); }
@@ -355,15 +347,14 @@ class ShardedEngine {
   ShardedEngine(ShardedEngineOptions options, std::vector<Engine> engines,
                 std::shared_ptr<const int> tag);
 
-  /// Validates handles/arity and throws std::invalid_argument on misuse.
-  void CheckQuery(std::span<const ShardedSet* const> sets) const;
-  /// Leaf validation for expression queries (non-empty handles, built by
-  /// this engine).
-  void CheckExpr(const ShardedExpr& expr) const;
+  /// The one handle check of both Serve overloads (and SaveSnapshot):
+  /// throws std::invalid_argument on a null or empty handle, or on one
+  /// built by another engine.
+  template <typename Handle>
+  void CheckHandle(const Handle* handle) const;
   /// The shared scatter-gather core: admission, deadline resolution,
   /// one task per shard, gather until complete or deadline.  `state`
-  /// arrives with its per-shard inputs (flat handles or projected
-  /// expressions) already filled.
+  /// arrives with its per-shard query builder already set.
   ServeResult ServeScattered(std::shared_ptr<QueryState> state,
                              ServeOptions options, Timer& wall) const;
 
@@ -375,7 +366,6 @@ class ShardedEngine {
   mutable AdmissionController admission_;
   mutable std::atomic<std::uint64_t> deadline_misses_{0};
   mutable std::atomic<std::uint64_t> served_{0};
-  BatchStats batch_stats_;
 };
 
 /// The result of ShardedEngine::LoadSnapshot: the reconstructed engine,

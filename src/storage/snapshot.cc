@@ -167,7 +167,7 @@ SnapshotReader::SnapshotReader(std::span<const std::byte> file,
     // Unknown section types are skipped (minor-version additions land
     // here) unless the writer marked them critical.
     if ((entry.flags & kSectionFlagCritical) != 0 &&
-        entry.type > kSectionTermTable) {
+        entry.type > kSectionShardMap) {
       Fail(SnapshotErrorCode::kBadVersion,
            "unknown critical section " + std::to_string(entry.type) +
                " (written by a newer version)");

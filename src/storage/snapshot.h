@@ -63,6 +63,10 @@ inline constexpr std::uint32_t kSectionTermTable = 5;    // InvertedIndex terms
 /// block-compressed image here.  Deliberately NOT critical: old readers
 /// skip it and rebuild uncompressed from the elements — forward compatible.
 inline constexpr std::uint32_t kSectionCompressed = 6;
+/// Critical in every ShardedEngine shard image (serve/sharded_engine.cc):
+/// shard count, this image's shard index, universe bound, set count and
+/// the id of the save it belongs to.
+inline constexpr std::uint32_t kSectionShardMap = 7;
 
 /// Set on sections a reader must understand to use the file at all.
 inline constexpr std::uint32_t kSectionFlagCritical = 1u << 0;

@@ -2,8 +2,9 @@
 // splitting, AdmissionController bounds, and ShardedEngine scatter-gather
 // — differential equivalence against a plain Engine across sinks and
 // shard counts, deadline edge cases (expired at admission, firing
-// mid-gather), typed rejection under a full admission gate, and the
-// per-shard snapshot round trip.
+// mid-gather), typed rejection under a full admission gate, misuse
+// rejected on the calling thread, and the per-shard snapshot round trip
+// with its typed errors for missing, foreign and rewritten images.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -39,6 +43,70 @@ ElemList GroundTruth(const std::vector<ElemList>& lists) {
 
 std::string TempPath(const std::string& name) {
   return testing::TempDir() + "fsi_sharded_" + name;
+}
+
+std::string ShardFile(const std::string& path, std::size_t shard) {
+  return path + ".shard" + std::to_string(shard);
+}
+
+void RemoveShardFiles(const std::string& path, std::size_t num_shards) {
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    std::remove(ShardFile(path, s).c_str());
+  }
+}
+
+/// The error code LoadSnapshot throws for `path`, or nullopt when it
+/// loads.  Any other exception type escapes and fails the test.
+std::optional<storage::SnapshotErrorCode> LoadError(const std::string& path) {
+  try {
+    ShardedEngine::LoadSnapshot(path);
+  } catch (const storage::SnapshotError& error) {
+    return error.code();
+  }
+  return std::nullopt;
+}
+
+/// The shard-map section (storage::kSectionShardMap) of a shard image, as
+/// serve/sharded_engine.cc writes it.
+struct ShardMapRecord {
+  std::uint64_t num_shards;
+  std::uint64_t shard;
+  Elem universe_bound;
+  std::uint32_t reserved;
+  std::uint64_t num_sets;
+  std::uint64_t save_id;
+};
+static_assert(sizeof(ShardMapRecord) == 40);
+
+/// Rewrites the image `file` through the public SnapshotWriter, every
+/// section copied verbatim except the shard map, which `edit` changes —
+/// a well-formed, checksummed image whose shard map lies.
+template <typename Edit>
+void RewriteShardMap(const std::string& file, Edit edit) {
+  std::vector<std::byte> bytes;
+  {
+    std::ifstream in(file, std::ios::binary);
+    for (auto it = std::istreambuf_iterator<char>(in);
+         it != std::istreambuf_iterator<char>(); ++it) {
+      bytes.push_back(static_cast<std::byte>(*it));
+    }
+  }
+  const storage::SnapshotReader reader(bytes);
+  std::ofstream out(file, std::ios::binary | std::ios::trunc);
+  storage::SnapshotWriter writer(out);
+  for (const storage::SectionEntry& entry : reader.entries()) {
+    std::span<const std::byte> payload =
+        reader.file().subspan(entry.offset, entry.size);
+    ShardMapRecord record;
+    if (entry.type == storage::kSectionShardMap) {
+      ASSERT_EQ(payload.size(), sizeof(record));
+      std::memcpy(&record, payload.data(), sizeof(record));
+      edit(record);
+      payload = std::as_bytes(std::span(&record, 1));
+    }
+    writer.AddSection(entry.type, payload, entry.flags);
+  }
+  writer.Finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -271,9 +339,14 @@ TEST(ShardedEngineTest, EmptyAndSingletonInputs) {
   ServeResult single = engine.Serve({&some});
   EXPECT_EQ(single.elems, (ElemList{3, 7, 11}));
 
+  // The empty query is admitted and scattered like any other.
+  const ServeCounters before = engine.counters();
   ServeResult none = engine.Serve(std::span<const ShardedSet* const>{});
   EXPECT_EQ(none.status, ServeStatus::kOk);
   EXPECT_TRUE(none.elems.empty());
+  EXPECT_EQ(none.shards_answered, 4u);
+  EXPECT_EQ(engine.counters().admitted, before.admitted + 1);
+  EXPECT_EQ(engine.counters().served, before.served + 1);
 }
 
 TEST(ShardedEngineTest, MisuseThrowsOnCallingThread) {
@@ -285,6 +358,36 @@ TEST(ShardedEngineTest, MisuseThrowsOnCallingThread) {
   EXPECT_THROW(e1.Serve({&a, &foreign}), std::invalid_argument);
   EXPECT_THROW(e1.Serve({&a, &empty_handle}), std::invalid_argument);
   EXPECT_THROW(e1.Serve({&a, nullptr}), std::invalid_argument);
+
+  // Expressions: a foreign leaf, leaves of two engines in one builder,
+  // and empty handles passed to builders.
+  const ShardedExpr mine = ShardedExpr::Set(a);
+  const ShardedExpr theirs = ShardedExpr::Set(foreign);
+  EXPECT_THROW(e1.Serve(theirs), std::invalid_argument);
+  EXPECT_THROW(e1.Serve(ShardedExpr::Or({ShardedExpr::None(), theirs})),
+               std::invalid_argument);
+  EXPECT_THROW(e1.Serve(ShardedExpr()), std::invalid_argument);
+  EXPECT_THROW(ShardedExpr::And({mine, theirs}), std::invalid_argument);
+  EXPECT_THROW(ShardedExpr::Or({theirs, ShardedExpr::None(), mine}),
+               std::invalid_argument);
+  EXPECT_THROW(ShardedExpr::Diff(mine, theirs), std::invalid_argument);
+  EXPECT_THROW(ShardedExpr::AtLeast(1, {mine, theirs}),
+               std::invalid_argument);
+  EXPECT_THROW(ShardedExpr::Set(empty_handle), std::invalid_argument);
+  EXPECT_THROW(ShardedExpr::And({mine, ShardedExpr()}), std::invalid_argument);
+  EXPECT_THROW(ShardedExpr::Or({ShardedExpr::None(), ShardedExpr()}),
+               std::invalid_argument);
+  EXPECT_THROW(ShardedExpr::Diff(ShardedExpr(), mine), std::invalid_argument);
+  EXPECT_THROW(ShardedExpr::AtLeast(1, {ShardedExpr()}),
+               std::invalid_argument);
+  EXPECT_THROW(ShardedExpr::AtLeast(0, {mine}), std::invalid_argument);
+  EXPECT_THROW(ShardedExpr::And({}), std::invalid_argument);
+  EXPECT_EQ(e1.counters().admitted, 0u);  // nothing reached admission
+
+  // None() carries no engine: it fits either one, alone or combined.
+  EXPECT_EQ(e1.Serve(ShardedExpr::Or({mine, ShardedExpr::None()})).elems,
+            (ElemList{1, 2, 3}));
+  EXPECT_TRUE(e2.Serve(ShardedExpr::None()).elems.empty());
   ShardedEngine validating(
       {.num_shards = 2, .validation = ValidationPolicy::kFull});
   EXPECT_THROW(validating.Prepare({3, 2, 1}), std::invalid_argument);
@@ -450,65 +553,6 @@ TEST(ShardedAdmissionTest, FullGateRejectsConcurrentQuery) {
 }
 
 // ---------------------------------------------------------------------------
-// ServeBatch statistics.
-// ---------------------------------------------------------------------------
-
-TEST(ShardedBatchTest, FillsLatencyPercentilesAndCounters) {
-  constexpr std::uint64_t kUniverse = 1 << 16;
-  Xoshiro256 rng(23);
-  std::vector<ElemList> lists =
-      GenerateIntersectingSets({8000, 6000, 5000}, 300, kUniverse, rng);
-
-  ShardedEngine engine(
-      {.num_shards = 4, .universe_bound = kUniverse, .num_threads = 2});
-  std::vector<ShardedSet> sets;
-  for (const ElemList& list : lists) sets.push_back(engine.Prepare(list));
-
-  std::vector<ShardedEngine::ShardedQuery> queries;
-  for (int i = 0; i < 32; ++i) {
-    queries.push_back({&sets[0], &sets[1]});
-    queries.push_back({&sets[1], &sets[2]});
-    queries.push_back({&sets[0], &sets[1], &sets[2]});
-  }
-  std::vector<ServeResult> results = engine.ServeBatch(queries);
-  ASSERT_EQ(results.size(), queries.size());
-  for (const ServeResult& result : results) {
-    EXPECT_EQ(result.status, ServeStatus::kOk);
-  }
-
-  const BatchStats& stats = engine.batch_stats();
-  EXPECT_EQ(stats.num_queries, queries.size());
-  EXPECT_GT(stats.p50_micros, 0.0);
-  EXPECT_LE(stats.p50_micros, stats.p95_micros);
-  EXPECT_LE(stats.p95_micros, stats.p99_micros);
-  EXPECT_LE(stats.p99_micros, stats.max_micros);
-  EXPECT_GT(stats.queries_per_second, 0.0);
-  EXPECT_EQ(stats.deadline_misses, 0u);
-  EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_GT(stats.total_results, 0u);
-}
-
-TEST(ShardedBatchTest, CountsRejectionsAndMisses) {
-  ShardedEngine rejecting(
-      {.num_shards = 2, .universe_bound = 1 << 10, .max_in_flight = 0});
-  ShardedSet a = rejecting.Prepare({1, 2, 3});
-  std::vector<ShardedEngine::ShardedQuery> queries(5, {&a});
-  std::vector<ServeResult> results = rejecting.ServeBatch(queries);
-  for (const ServeResult& result : results) {
-    EXPECT_EQ(result.status, ServeStatus::kRejected);
-  }
-  EXPECT_EQ(rejecting.batch_stats().rejected, 5u);
-  EXPECT_EQ(rejecting.batch_stats().deadline_misses, 0u);
-
-  ShardedEngine expiring({.num_shards = 2, .universe_bound = 1 << 10});
-  ShardedSet b = expiring.Prepare({1, 2, 3});
-  std::vector<ShardedEngine::ShardedQuery> expired_queries(3, {&b});
-  expiring.ServeBatch(expired_queries, {.deadline = microseconds{0}});
-  EXPECT_EQ(expiring.batch_stats().deadline_misses, 3u);
-  EXPECT_EQ(expiring.batch_stats().rejected, 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Per-shard snapshots.
 // ---------------------------------------------------------------------------
 
@@ -545,46 +589,85 @@ TEST(ShardedSnapshotTest, RoundTripPreservesResultsAndOrder) {
   EXPECT_EQ(loaded.engine.Serve({&fresh, &loaded.sets[1]}).elems,
             loaded.engine.Serve({&loaded.sets[0], &loaded.sets[1]}).elems);
 
-  std::remove(path.c_str());
-  for (int s = 0; s < 4; ++s) {
-    std::remove((path + ".shard" + std::to_string(s)).c_str());
-  }
+  RemoveShardFiles(path, 4);
 }
 
-TEST(ShardedSnapshotTest, TypedErrorsOnMissingOrMalformedManifest) {
+TEST(ShardedSnapshotTest, TypedErrorsOnMissingForeignOrGarbageImages) {
+  ShardedEngine engine({.num_shards = 2, .universe_bound = 1 << 10});
+  ShardedSet saved = engine.Prepare({1, 2, 3, 700});
+  ShardedSet other = engine.Prepare({1, 2, 3, 600, 900});
+
+  // No image at all: the normal first run of a cold-starting server.
   const std::string missing = TempPath("missing.snap");
-  try {
-    ShardedEngine::LoadSnapshot(missing);
-    FAIL() << "expected SnapshotError";
-  } catch (const storage::SnapshotError& error) {
-    EXPECT_EQ(error.code(), storage::SnapshotErrorCode::kIo);
-  }
+  EXPECT_EQ(LoadError(missing), storage::SnapshotErrorCode::kIo);
 
-  const std::string garbage = TempPath("garbage.snap");
-  {
-    std::ofstream out(garbage);
-    out << "not a manifest at all\n";
-  }
-  try {
-    ShardedEngine::LoadSnapshot(garbage);
-    FAIL() << "expected SnapshotError";
-  } catch (const storage::SnapshotError& error) {
-    EXPECT_EQ(error.code(), storage::SnapshotErrorCode::kBadMagic);
-  }
-  std::remove(garbage.c_str());
+  // An image copied in from another save with the same set count.
+  const std::string path = TempPath("foreign.snap");
+  const std::string donor = TempPath("donor.snap");
+  engine.SaveSnapshot(path, {&saved});
+  engine.SaveSnapshot(donor, {&other});
+  ASSERT_EQ(LoadError(path), std::nullopt);
+  ASSERT_EQ(std::rename(ShardFile(donor, 1).c_str(),
+                        ShardFile(path, 1).c_str()),
+            0);
+  EXPECT_EQ(LoadError(path), storage::SnapshotErrorCode::kCorrupt);
+  // Every save draws a fresh id: re-saving the same sets does not make
+  // a stale image fit either.
+  engine.SaveSnapshot(donor, {&saved});
+  ASSERT_EQ(std::rename(ShardFile(donor, 1).c_str(),
+                        ShardFile(path, 1).c_str()),
+            0);
+  EXPECT_EQ(LoadError(path), storage::SnapshotErrorCode::kCorrupt);
 
-  const std::string truncated = TempPath("truncated.snap");
+  // Garbage where shard 0's image should be.
   {
-    std::ofstream out(truncated);
-    out << "fsi-sharded-manifest 1\nnum_shards 4\n";  // missing the rest
+    std::ofstream out(ShardFile(path, 0), std::ios::trunc);
+    out << std::string(256, 'x');
   }
-  try {
-    ShardedEngine::LoadSnapshot(truncated);
-    FAIL() << "expected SnapshotError";
-  } catch (const storage::SnapshotError& error) {
-    EXPECT_EQ(error.code(), storage::SnapshotErrorCode::kCorrupt);
+  EXPECT_EQ(LoadError(path), storage::SnapshotErrorCode::kBadMagic);
+  RemoveShardFiles(path, 2);
+  RemoveShardFiles(donor, 2);
+}
+
+TEST(ShardedSnapshotTest, RewrittenShardMapsAreCorrupt) {
+  // Each case saves a fresh 2-shard snapshot of one set, rewrites one
+  // image's shard map through the public writer (valid checksums), and
+  // expects kCorrupt — never bad_alloc or invalid_argument.
+  ShardedEngine engine({.num_shards = 2, .universe_bound = 1 << 10});
+  ShardedSet saved = engine.Prepare({1, 2, 3, 700});
+  const std::string path = TempPath("rewritten.snap");
+  struct Case {
+    const char* name;
+    std::size_t image;
+    void (*edit)(ShardMapRecord&);
+  };
+  const Case cases[] = {
+      {"zero shards", 0, [](ShardMapRecord& r) { r.num_shards = 0; }},
+      {"three shards", 0, [](ShardMapRecord& r) { r.num_shards = 3; }},
+      {"2^40 shards", 0,
+       [](ShardMapRecord& r) { r.num_shards = std::uint64_t{1} << 40; }},
+      {"shard count disagrees", 1, [](ShardMapRecord& r) { r.num_shards = 4; }},
+      {"wrong index in image 0", 0, [](ShardMapRecord& r) { r.shard = 1; }},
+      {"wrong index in image 1", 1, [](ShardMapRecord& r) { r.shard = 0; }},
+      {"set count vs image 0", 0, [](ShardMapRecord& r) { r.num_sets = 2; }},
+      {"set count disagrees", 1, [](ShardMapRecord& r) { r.num_sets = 2; }},
+      {"universe disagrees", 1,
+       [](ShardMapRecord& r) { r.universe_bound = 2048; }},
+      {"save id disagrees", 1, [](ShardMapRecord& r) { ++r.save_id; }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    engine.SaveSnapshot(path, {&saved});
+    RewriteShardMap(ShardFile(path, c.image), c.edit);
+    EXPECT_EQ(LoadError(path), storage::SnapshotErrorCode::kCorrupt);
   }
-  std::remove(truncated.c_str());
+  // The untouched rewrite round-trips: the cases above fail on the edit.
+  engine.SaveSnapshot(path, {&saved});
+  RewriteShardMap(ShardFile(path, 1), [](ShardMapRecord&) {});
+  LoadedShardedSnapshot loaded = ShardedEngine::LoadSnapshot(path);
+  EXPECT_EQ(loaded.engine.Serve({&loaded.sets[0]}).elems,
+            (ElemList{1, 2, 3, 700}));
+  RemoveShardFiles(path, 2);
 }
 
 TEST(ShardedSnapshotTest, MissingShardImageSurfacesAsSnapshotError) {
@@ -592,10 +675,9 @@ TEST(ShardedSnapshotTest, MissingShardImageSurfacesAsSnapshotError) {
   ShardedEngine engine({.num_shards = 2, .universe_bound = 1 << 10});
   ShardedSet a = engine.Prepare({1, 2, 3, 700});
   engine.SaveSnapshot(path, {&a});
-  std::remove((path + ".shard1").c_str());
-  EXPECT_THROW(ShardedEngine::LoadSnapshot(path), storage::SnapshotError);
-  std::remove(path.c_str());
-  std::remove((path + ".shard0").c_str());
+  std::remove(ShardFile(path, 1).c_str());
+  EXPECT_EQ(LoadError(path), storage::SnapshotErrorCode::kIo);
+  RemoveShardFiles(path, 2);
 }
 
 }  // namespace
