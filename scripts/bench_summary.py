@@ -30,7 +30,13 @@ simd=off/auto ratios — the SIMD-decode gate, docs/COMPRESSION.md), and —
 when the directory has a ``scalar/`` subdirectory holding a second run
 made with FSI_FORCE_SCALAR=1 — a ``simd_speedup`` section with the
 per-benchmark scalar/simd time ratios, the number the SIMD kernel layer
-exists to improve.  The CI bench-smoke job prints this to the job log and
+exists to improve.  A ``machine`` section says what produced the numbers:
+the CPU model (``/proc/cpuinfo``), the dispatched kernel tier as
+``intersect_cli --list`` reports it (its first line, saved as
+``kernel_dispatch.txt`` in the directory) and the planner calibration
+source, read from ``FSI_PLANNER_CALIBRATION`` the way the library reads
+it (with the constants when it names a JSON file).  The CI bench-smoke
+job prints this to the job log and
 uploads the raw exports as an artifact, so the perf trajectory of a
 branch is one artifact download away.
 """
@@ -124,6 +130,44 @@ def simd_speedup(directory, benchmarks):
         if name and simd_time and scalar_time:
             speedup[name] = round(scalar_time / simd_time, 2)
     return speedup
+
+
+def machine_fingerprint(directory):
+    """CPU model, dispatched kernel tier and planner calibration source."""
+    machine = {}
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    machine["cpu_model"] = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    try:
+        with open(os.path.join(directory, "kernel_dispatch.txt")) as f:
+            line = f.readline().strip()
+    except OSError:
+        line = ""
+    # "kernel dispatch: avx512 (cpu supports avx512)"
+    match = re.match(r"kernel dispatch: (\w+)", line)
+    if match:
+        machine["kernel_tier"] = match.group(1)
+        machine["kernel_dispatch"] = line
+    # The rules of PlannerCalibration::Process (src/api/planner.cc).
+    value = os.environ.get("FSI_PLANNER_CALIBRATION", "")
+    if value == "off":
+        machine["calibration_source"] = "default"
+    elif value in ("", "on"):
+        machine["calibration_source"] = "measured"
+    else:
+        machine["calibration_source"] = "json"
+        machine["calibration_file"] = value
+        try:
+            with open(value) as f:
+                machine["calibration"] = json.load(f)
+        except (OSError, ValueError):
+            pass
+    return machine
 
 
 def load_exports(directory):
@@ -429,6 +473,7 @@ def main():
         "commit": os.environ.get("GITHUB_SHA", "local"),
         "ref": os.environ.get("GITHUB_REF", ""),
         "sources": list(exports),
+        "machine": machine_fingerprint(directory),
         "benchmarks": [],
     }
     all_benchmarks = []

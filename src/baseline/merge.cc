@@ -70,20 +70,31 @@ void MergeIntersectK(std::span<const std::span<const Elem>> lists,
 
 void MergeIntersection::Intersect(std::span<const PreprocessedSet* const> sets,
                                   ElemList* out) const {
-  std::vector<std::span<const Elem>> lists;
-  lists.reserve(sets.size());
-  for (const PreprocessedSet* s : sets) {
-    lists.push_back(As<PlainSet>(*s).elems());
-  }
-  if (lists.size() == 2) {
-    // The dominant query shape takes the kernel layer: block-wise merge on
-    // SSE/AVX2 machines, the classic two-pointer loop under simd=off /
-    // FSI_FORCE_SCALAR.  Identical output either way.
-    kernels_->intersect_pair(lists[0].data(), lists[0].size(),
-                             lists[1].data(), lists[1].size(), out);
+  if (sets.empty()) return;
+  // A smallest-first chain of pairwise kernel merges: block-wise merge on
+  // vector machines, the classic two-pointer loop under simd=off /
+  // FSI_FORCE_SCALAR (identical output either way).  Each step merges the
+  // running intersection into the next list; the last appends to *out.
+  std::vector<const PlainSet*> sorted = SortBySize(sets);
+  std::span<const Elem> left = sorted[0]->elems();
+  if (sorted.size() == 1) {
+    out->insert(out->end(), left.begin(), left.end());
     return;
   }
-  MergeIntersectK(lists, out);
+  ElemList current;
+  ElemList next;
+  for (std::size_t s = 1; s + 1 < sorted.size(); ++s) {
+    std::span<const Elem> right = sorted[s]->elems();
+    next.clear();
+    kernels_->intersect_pair(left.data(), left.size(), right.data(),
+                             right.size(), &next);
+    if (next.empty()) return;
+    current.swap(next);
+    left = current;
+  }
+  std::span<const Elem> last = sorted.back()->elems();
+  kernels_->intersect_pair(left.data(), left.size(), last.data(), last.size(),
+                           out);
 }
 
 }  // namespace fsi

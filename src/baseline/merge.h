@@ -6,8 +6,11 @@
 // inner loop branch-light as the paper's own does ("we tried to minimize the
 // number of branches in the inner loop").
 //
-// Two sets: the textbook two-pointer merge step, O(n1 + n2).
-// k sets:   a candidate-advance scan over all k cursors simultaneously.
+// Two sets: the textbook two-pointer merge step, O(n1 + n2), run by the
+//           dispatched kernel table (simd/intersect_kernels.h).
+// k sets:   MergeIntersection runs a smallest-first chain of that pairwise
+//           kernel; MergeIntersectK keeps the scalar candidate-advance scan
+//           over all k cursors as the reference.
 
 #ifndef FSI_BASELINE_MERGE_H_
 #define FSI_BASELINE_MERGE_H_
@@ -29,7 +32,7 @@ class MergeIntersection : public IntersectionAlgorithm {
   /// per-result term.
   static double StepCost(const StepCostQuery& q, const CostConstants& c);
 
-  /// `simd` selects the two-set inner-loop kernel tier: kAuto runs the
+  /// `simd` selects the pairwise inner-loop kernel tier: kAuto runs the
   /// CPU-dispatched block merge (registry spec "Merge" or "Merge:simd=auto"),
   /// kOff the scalar two-pointer loop ("Merge:simd=off").  Results are
   /// bit-identical either way.

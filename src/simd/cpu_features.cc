@@ -9,6 +9,8 @@ namespace {
 Level ProbeCpu() {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   // __builtin_cpu_supports reads CPUID once and caches; cheap to call.
+  // libgcc's avx512f bit also requires the OS to save ZMM state (XCR0).
+  if (__builtin_cpu_supports("avx512f")) return Level::kAvx512;
   if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
   if (__builtin_cpu_supports("ssse3")) return Level::kSse;
   return Level::kScalar;
@@ -47,6 +49,8 @@ std::string_view LevelName(Level level) {
       return "sse";
     case Level::kAvx2:
       return "avx2";
+    case Level::kAvx512:
+      return "avx512";
     case Level::kScalar:
     default:
       return "scalar";

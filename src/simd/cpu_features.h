@@ -1,9 +1,10 @@
 // Runtime CPU feature detection for the SIMD kernel layer.
 //
 // The paper's central device is word-level parallelism: comparing one
-// element against a group of w elements in O(1) word operations.  SSE and
-// AVX2 lanes are the hardware realization of the same idea, so the hot
-// inner loops (src/simd/intersect_kernels.h) ship in vectorized variants.
+// element against a group of w elements in O(1) word operations.  SSE,
+// AVX2 and AVX-512 lanes are the hardware realization of the same idea,
+// so the hot inner loops (src/simd/intersect_kernels.h) ship in
+// vectorized variants, one per tier of the Level enum below.
 // Which variant runs is decided *once per process*, here:
 //
 //   * DetectCpuLevel()  — raw CPUID probe: the best level this machine
@@ -15,7 +16,8 @@
 //
 // Binaries stay portable: every kernel is compiled with per-function
 // target attributes, so an AVX2 code path can exist in a binary built
-// with plain -O2 and is only entered after the CPUID check passes.
+// with plain -O2 and is only entered after the CPUID check passes (for
+// kAvx512 that check also requires the OS to save ZMM state).
 
 #ifndef FSI_SIMD_CPU_FEATURES_H_
 #define FSI_SIMD_CPU_FEATURES_H_
@@ -29,6 +31,7 @@ enum class Level {
   kScalar,  // portable C++ (also the FSI_FORCE_SCALAR / simd=off path)
   kSse,     // 128-bit lanes (SSE2 + SSSE3 shuffles), 4 x uint32
   kAvx2,    // 256-bit lanes, 8 x uint32
+  kAvx512,  // 512-bit lanes (AVX-512F), 16 x uint32; decode reuses AVX2
 };
 
 /// Best level supported by the executing CPU (raw probe; ignores
@@ -46,7 +49,7 @@ bool ForceScalarEnv();
 /// mid-run).
 Level ActiveLevel();
 
-/// Human-readable level name: "scalar", "sse", "avx2".
+/// Human-readable level name: "scalar", "sse", "avx2", "avx512".
 std::string_view LevelName(Level level);
 
 }  // namespace fsi::simd

@@ -296,6 +296,7 @@ const DecodeKernels& DecodeKernelsForLevel(Level level) {
   }
 #if FSI_SIMD_X86
   switch (effective) {
+    case Level::kAvx512:  // no 512-bit decode kernels: the AVX2 ones run
     case Level::kAvx2:
       return kAvx2DecodeTable;
     case Level::kSse:

@@ -20,7 +20,8 @@
 // per tier, resolved once per process from CPUID, every tier bit-identical
 // to the scalar reference, FSI_FORCE_SCALAR honored, and the per-algorithm
 // "simd=auto|off" registry option selecting between the dispatched and the
-// scalar table.
+// scalar table.  There are no 512-bit decode kernels: Level::kAvx512
+// resolves to the AVX2 table.
 
 #ifndef FSI_SIMD_DECODE_KERNELS_H_
 #define FSI_SIMD_DECODE_KERNELS_H_

@@ -316,6 +316,174 @@ __attribute__((target("avx2"))) void IntersectPairAvx2(
 }
 
 // ---------------------------------------------------------------------------
+// AVX-512 tier: 16 x uint32 lanes (AVX-512F).  Native unsigned compares
+// write mask registers, so no sign bias; masked loads cover the tails
+// without reading past the end, and every compare over a masked load is
+// masked too, so zero-filled lanes never match x == 0.
+// ---------------------------------------------------------------------------
+
+/// Lanes [0, n) set, n <= 16.
+inline __mmask16 FirstLanes(std::size_t n) {
+  return static_cast<__mmask16>((1u << n) - 1u);
+}
+
+__attribute__((target("avx512f"))) void MatchAnyAvx512(
+    const std::uint32_t* a, std::size_t na, const std::uint32_t* b,
+    std::size_t nb, std::vector<std::uint32_t>* out) {
+  const std::size_t full = nb & ~std::size_t{15};
+  const __mmask16 tail = FirstLanes(nb - full);
+  for (std::size_t i = 0; i < na; ++i) {
+    const std::uint32_t x = a[i];
+    const __m512i broadcast = _mm512_set1_epi32(static_cast<int>(x));
+    bool found = false;
+    std::size_t j = 0;
+    for (; j < full && !found; j += 16) {
+      found = _mm512_cmpeq_epi32_mask(broadcast, _mm512_loadu_si512(b + j)) !=
+              0;
+    }
+    if (!found && tail != 0) {
+      const __m512i group = _mm512_maskz_loadu_epi32(tail, b + full);
+      found = _mm512_mask_cmpeq_epi32_mask(tail, broadcast, group) != 0;
+    }
+    if (found) out->push_back(x);
+  }
+}
+
+__attribute__((target("avx512f"))) std::size_t LowerBoundAvx512(
+    const std::uint32_t* sorted, std::size_t n, std::uint32_t x) {
+  // Binary-search down to a window of at most four vectors, then count the
+  // window's elements below x sixteen lanes at a time.
+  std::size_t lo = 0;
+  std::size_t len = n;
+  while (len > 64) {
+    const std::size_t half = len / 2;
+    if (sorted[lo + half] < x) {
+      lo += half + 1;
+      len -= half + 1;
+    } else {
+      len = half;
+    }
+  }
+  const __m512i probe = _mm512_set1_epi32(static_cast<int>(x));
+  const std::uint32_t* window = sorted + lo;
+  std::size_t less = 0;
+  std::size_t j = 0;
+  for (; j + 16 <= len; j += 16) {
+    less += static_cast<std::size_t>(__builtin_popcount(
+        _mm512_cmplt_epu32_mask(_mm512_loadu_si512(window + j), probe)));
+  }
+  if (j < len) {
+    const __mmask16 tail = FirstLanes(len - j);
+    const __m512i v = _mm512_maskz_loadu_epi32(tail, window + j);
+    less += static_cast<std::size_t>(
+        __builtin_popcount(_mm512_mask_cmplt_epu32_mask(tail, v, probe)));
+  }
+  return lo + less;
+}
+
+__attribute__((target("avx512f"))) std::size_t GallopGeAvx512(
+    const std::uint32_t* sorted, std::size_t n, std::size_t lo,
+    std::uint32_t x) {
+  std::size_t win_lo;
+  std::size_t win_len;
+  GallopBracket(sorted, n, lo, x, &win_lo, &win_len);
+  return win_lo + LowerBoundAvx512(sorted + win_lo, win_len, x);
+}
+
+/// Broadcast-compare block merge of a short block of K elements of `s`
+/// against a 16-lane block of `l`: each short element is broadcast from
+/// memory and compared against the long block, the OR of the masks marks
+/// the long block's matches, which vpcompressd packs for one full-width
+/// store at *dst.  The side whose block maximum is smaller advances (both
+/// on a tie).  A common value sits in exactly one (short, long) block
+/// pair and block pairs are visited in increasing order on both sides,
+/// so each match is written once, in ascending order.  Runs while both
+/// sides hold a full block; advances *is, *il and *dst.
+///
+/// With K = 8 the lists are within 12x of each other and which side
+/// advances is close to a coin flip, so the advance is kept branch-free
+/// (the empty asm stops GCC from threading it back into a branch).  With
+/// a smaller K the long side advances on most steps; there a predicted
+/// branch beats the load-compare-add chain a branch-free advance puts
+/// between iterations.
+template <int K>
+__attribute__((target("avx512f"))) inline void BlockMergeAvx512(
+    const std::uint32_t* s, std::size_t ns, const std::uint32_t* l,
+    std::size_t nl, std::size_t* is, std::size_t* il, std::uint32_t** dst) {
+  std::size_t i = *is;
+  std::size_t j = *il;
+  std::uint32_t* d = *dst;
+  while (i + K <= ns && j + 16 <= nl) {
+    const __m512i block = _mm512_loadu_si512(l + j);
+    __mmask16 hits = 0;
+#pragma GCC unroll 8
+    for (int k = 0; k < K; ++k) {
+      hits |= _mm512_cmpeq_epi32_mask(
+          block, _mm512_set1_epi32(static_cast<int>(s[i + k])));
+    }
+    _mm512_storeu_si512(d, _mm512_maskz_compress_epi32(hits, block));
+    d += __builtin_popcount(hits);
+    const std::uint32_t smax = s[i + K - 1];
+    const std::uint32_t lmax = l[j + 15];
+    if constexpr (K == 8) {
+      std::size_t s_step = smax <= lmax;
+      std::size_t l_step = lmax <= smax;
+      __asm__("" : "+r"(s_step), "+r"(l_step));
+      i += s_step * K;
+      j += l_step * 16;
+    } else if (lmax < smax) {
+      j += 16;
+    } else {
+      i += K;
+      j += (lmax == smax) ? 16 : 0;
+    }
+  }
+  *is = i;
+  *il = j;
+  *dst = d;
+}
+
+/// Long-over-short size ratio from which the 4-element short block beats
+/// the 8-element one (fewer compares per long block outweigh the extra
+/// iterations); tuned on a size-ratio sweep, see docs/ALGORITHMS.md.
+constexpr std::size_t kShortBlock4Ratio = 12;
+
+__attribute__((target("avx512f"))) void IntersectPairAvx512(
+    const std::uint32_t* a, std::size_t na, const std::uint32_t* b,
+    std::size_t nb, std::vector<std::uint32_t>* out) {
+  if (na == 0 || nb == 0) return;
+  // Both sides emit the same ascending values, so run the shorter list
+  // as the broadcast side.
+  const bool a_short = na <= nb;
+  const std::uint32_t* s = a_short ? a : b;
+  const std::uint32_t* l = a_short ? b : a;
+  const std::size_t ns = a_short ? na : nb;
+  const std::size_t nl = a_short ? nb : na;
+  if (nl <= 16) {
+    // One masked compare per short element (the RanGroupScan group merges
+    // live here); emitting in the sorted short side's order is ascending.
+    MatchAnyAvx512(s, ns, l, nl, out);
+    return;
+  }
+  const std::size_t base = out->size();
+  out->resize(base + ns + 16);  // +16: full-width store slack
+  std::uint32_t* dst0 = out->data() + base;
+  std::uint32_t* dst = dst0;
+  std::size_t is = 0;
+  std::size_t il = 0;
+  if (nl >= kShortBlock4Ratio * ns) {
+    BlockMergeAvx512<4>(s, ns, l, nl, &is, &il, &dst);
+  } else {
+    BlockMergeAvx512<8>(s, ns, l, nl, &is, &il, &dst);
+  }
+  // Fewer than a short block left on the short side: one element at a time
+  // while the long side still has full blocks.
+  BlockMergeAvx512<1>(s, ns, l, nl, &is, &il, &dst);
+  out->resize(base + static_cast<std::size_t>(dst - dst0));
+  IntersectPairScalar(s + is, ns - is, l + il, nl - il, out);
+}
+
+// ---------------------------------------------------------------------------
 // SSE tier: 4 x uint32 lanes (SSE2 compares + SSSE3 pshufb packing).
 // ---------------------------------------------------------------------------
 
@@ -441,6 +609,10 @@ constexpr Kernels kAvx2Table = {
     Level::kAvx2, IntersectPairAvx2, LowerBoundAvx2, GallopGeAvx2,
     MatchAnyAvx2,
 };
+constexpr Kernels kAvx512Table = {
+    Level::kAvx512, IntersectPairAvx512, LowerBoundAvx512, GallopGeAvx512,
+    MatchAnyAvx512,
+};
 #endif
 
 }  // namespace
@@ -463,6 +635,8 @@ const Kernels& KernelsForLevel(Level level) {
   }
 #if FSI_SIMD_X86
   switch (effective) {
+    case Level::kAvx512:
+      return kAvx512Table;
     case Level::kAvx2:
       return kAvx2Table;
     case Level::kSse:

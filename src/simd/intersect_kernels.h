@@ -4,9 +4,9 @@
 // with one word operation over a whole group ("compare an element against
 // w elements in O(1)").  This layer applies the identical trick at the
 // instruction level: the scan/merge/probe loops every algorithm bottoms
-// out in are implemented three times — portable scalar C++, SSE (4 x
-// uint32 lanes) and AVX2 (8 x uint32 lanes) — behind one function-pointer
-// table.  The table is resolved once per process from CPUID (see
+// out in are implemented once per tier — portable scalar C++, SSE (4 x
+// uint32 lanes), AVX2 (8 lanes) and AVX-512F (16 lanes) — behind one
+// function-pointer table.  The table is resolved once per process from CPUID (see
 // simd/cpu_features.h) and every variant is *bit-identical*: same output
 // elements, same order, so algorithms can switch freely and the property
 // tests assert equality directly.
@@ -15,14 +15,18 @@
 //
 //   intersect_pair  block-wise merge intersection of two sorted unique
 //                   arrays (baseline/merge, the RanGroupScan group merges).
-//                   The vector variants compare an 8 (or 4) element block
-//                   of each list all-against-all per step, then advance
-//                   the block whose maximum is smaller — the classic
-//                   branch-light block merge.
+//                   The SSE/AVX2 variants compare a 4/8 element block of
+//                   each list all-against-all per step (lane rotations);
+//                   AVX-512 broadcasts each element of an 8 (or, once the
+//                   longer list is 12x longer, 4) element block of the
+//                   shorter list against a 16-lane block of the longer.
+//                   Either way the block whose maximum is smaller advances
+//                   — the branch-light block merge.
 //   lower_bound     index of the first element >= x.  The vector variants
 //                   binary-search down to a small window, then resolve it
 //                   with broadcast-compare + popcount instead of the final
-//                   branchy binary-search steps (baseline/baeza_yates).
+//                   branchy binary-search steps (baseline/baeza_yates);
+//                   AVX-512 compares unsigned natively, 16 lanes a step.
 //   gallop_ge       galloping search with the vectorized lower_bound as
 //                   its probe (baseline/svs and friends).
 //   match_any       appends every a[i] present in b, in i-order; neither

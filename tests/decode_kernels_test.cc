@@ -43,6 +43,7 @@ std::vector<simd::Level> AvailableLevels() {
   const simd::Level best = simd::DetectCpuLevel();
   if (best >= simd::Level::kSse) levels.push_back(simd::Level::kSse);
   if (best >= simd::Level::kAvx2) levels.push_back(simd::Level::kAvx2);
+  if (best >= simd::Level::kAvx512) levels.push_back(simd::Level::kAvx512);
   return levels;
 }
 

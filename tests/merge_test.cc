@@ -1,10 +1,12 @@
 #include "baseline/merge.h"
 
 #include "api/engine.h"
+#include "api/planner.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "util/rng.h"
@@ -108,6 +110,63 @@ TEST(MergeTest, AlgorithmInterface) {
   EXPECT_EQ(alg.name(), "Merge");
   std::vector<ElemList> lists = {{1, 2, 3, 4}, {2, 4, 6}, {0, 2, 4, 8}};
   EXPECT_EQ(alg.IntersectLists(lists), (ElemList{2, 4}));
+}
+
+TEST(MergeTest, KWayChainMatchesOracleOnEverySinkAndTier) {
+  // k >= 3 Merge runs a smallest-first chain of pairwise kernel merges.
+  // Dense lists make the planner pick a uniform Merge plan, which executes
+  // as one MergeIntersection call; both it and the explicit spec must
+  // match the scalar k-way scan, with and without simd=off.
+  Xoshiro256 rng(87);
+  for (std::size_t k = 3; k <= 5; ++k) {
+    for (std::uint32_t universe : {4096u, 65536u}) {
+      std::vector<ElemList> lists(k);
+      for (std::size_t i = 0; i < k; ++i) {
+        // Densities 84%, 76%, ... so the smallest list comes last.
+        const std::uint64_t percent = 84 - 8 * i;
+        for (std::uint32_t x = 0; x < universe; ++x) {
+          if (rng.Below(100) < percent) lists[i].push_back(x);
+        }
+      }
+      // A last list disjoint from the rest empties the chain early.
+      std::vector<ElemList> emptying = lists;
+      emptying.push_back({universe + 1, universe + 2});
+      for (const std::vector<ElemList>* input : {&lists, &emptying}) {
+        std::vector<std::span<const Elem>> spans(input->begin(),
+                                                 input->end());
+        ElemList expected;
+        MergeIntersectK(spans, &expected);
+        for (const char* spec : {"Merge", "Merge:simd=off",
+                                 "Planner:calibration=off",
+                                 "Planner:calibration=off,simd=off"}) {
+          Engine engine(spec);
+          std::vector<PreparedSet> prepared;
+          for (const ElemList& l : *input) prepared.push_back(engine.Prepare(l));
+          const std::string where = std::string(spec) +
+                                    " k=" + std::to_string(input->size()) +
+                                    " universe=" + std::to_string(universe);
+          if (input == &lists && engine.Query(prepared).Explain().planned) {
+            QueryPlan plan = engine.Query(prepared).Explain();
+            EXPECT_TRUE(plan.uniform) << where;
+            for (const PlanStep& step : plan.steps) {
+              EXPECT_EQ(step.algorithm, "Merge") << where;
+            }
+          }
+          EXPECT_EQ(engine.Query(prepared).Materialize(), expected) << where;
+          ElemList unordered = engine.Query(prepared).Unordered().Materialize();
+          std::sort(unordered.begin(), unordered.end());
+          EXPECT_EQ(unordered, expected) << where;
+          ElemList into = {7};
+          engine.Query(prepared).ExecuteInto(&into);
+          EXPECT_EQ(into, expected) << where;
+          EXPECT_EQ(engine.Query(prepared).Count(), expected.size()) << where;
+          ElemList visited;
+          engine.Query(prepared).Visit([&](Elem e) { visited.push_back(e); });
+          EXPECT_EQ(visited, expected) << where;
+        }
+      }
+    }
+  }
 }
 
 TEST(MergeTest, PrepareRejectsInvalidInputWhenValidationEnabled) {

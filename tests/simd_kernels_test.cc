@@ -4,9 +4,11 @@
 //  * Kernel level: every vector tier the machine can execute produces
 //    bit-identical results to the scalar tier, on adversarial inputs —
 //    empty/singleton sets, dense overlap, disjoint interleavings,
-//    unaligned lengths around the 4/8/16 lane widths, and values at the
-//    uint32 extremes (0 and near-max, which exercise the sign-bias trick
-//    and the masked-lane zero-fill).
+//    unaligned lengths around the 4/8/16 lane widths and the 16/32/64
+//    element AVX-512 block boundaries, size ratios that select each
+//    short-block shape, and values at the uint32 extremes (0 and
+//    near-max, which exercise the sign-bias trick and the masked-lane
+//    zero-fill).
 //  * Algorithm level: for every registered algorithm, the default spec
 //    (CPU-dispatched kernels) and the ":simd=off" spec (scalar kernels)
 //    produce identical results through every Engine sink, with identical
@@ -34,6 +36,7 @@ std::vector<simd::Level> AvailableLevels() {
   const simd::Level best = simd::DetectCpuLevel();
   if (best >= simd::Level::kSse) levels.push_back(simd::Level::kSse);
   if (best >= simd::Level::kAvx2) levels.push_back(simd::Level::kAvx2);
+  if (best >= simd::Level::kAvx512) levels.push_back(simd::Level::kAvx512);
   return levels;
 }
 
@@ -98,6 +101,54 @@ std::vector<std::pair<U32List, U32List>> AdversarialPairs() {
                                 0x80000001u, 0xFFFFFFFEu, 0xFFFFFFFFu});
   pairs.push_back({mixed, mixed});
   pairs.push_back({mixed, low});
+  // Skewed pairs, both argument orders: long-over-short ratios from 1 to
+  // 64 select the 8- and 4-element short blocks of the AVX-512 merge, and
+  // short lengths that are not multiples of 8 leave work for its
+  // one-element loop and its scalar tail.
+  std::mt19937_64 skew_rng(0x5EE3);
+  for (std::size_t ratio : {1u, 2u, 4u, 8u, 12u, 16u, 64u}) {
+    for (std::size_t ns : {3u, 13u, 40u}) {
+      const std::size_t nl = ns * ratio;
+      const auto universe = static_cast<std::uint32_t>(3 * nl);
+      U32List s = RandomSortedSet(skew_rng, ns, universe);
+      U32List l = RandomSortedSet(skew_rng, nl, universe);
+      pairs.push_back({s, l});
+      pairs.push_back({std::move(l), std::move(s)});
+    }
+  }
+  // Lengths straddling the 16/32/64 element block boundaries on both
+  // sides, overlapping on the multiples of 6.
+  for (std::size_t na : {15u, 16u, 17u, 31u, 32u, 33u, 63u, 64u, 65u}) {
+    for (std::size_t nb : {15u, 16u, 17u, 31u, 32u, 33u, 63u, 64u, 65u}) {
+      U32List a;
+      U32List b;
+      for (std::size_t i = 0; i < na; ++i) {
+        a.push_back(static_cast<std::uint32_t>(2 * i));
+      }
+      for (std::size_t i = 0; i < nb; ++i) {
+        b.push_back(static_cast<std::uint32_t>(3 * i));
+      }
+      pairs.push_back({std::move(a), std::move(b)});
+    }
+  }
+  // Blocks holding the uint32 extremes: a 16-element list spanning 0 to
+  // UINT32_MAX (one 16-lane block holding both), and a 32-element list
+  // whose first block starts at 0 and whose last ends at UINT32_MAX.
+  U32List block16 = {0};
+  for (std::uint32_t i = 1; i < 15; ++i) block16.push_back(i * 0x11111111u);
+  block16.push_back(0xFFFFFFFFu);
+  U32List block32;
+  for (std::uint32_t i = 0; i < 16; ++i) block32.push_back(i);
+  for (std::uint32_t i = 15; i >= 1; --i) block32.push_back(0xFFFFFFFFu - i);
+  block32.push_back(0xFFFFFFFFu);
+  U32List ends = {0, 0xFFFFFFFFu};
+  U32List zero_only = {0};
+  U32List max_only = {0xFFFFFFFFu};
+  for (const U32List* other : {&ends, &zero_only, &max_only, &low, &mixed,
+                               &block16, &block32}) {
+    pairs.push_back({block16, *other});
+    pairs.push_back({*other, block32});
+  }
   // Random fuzz: varying densities and sizes straddling the block widths.
   std::mt19937_64 rng(0x51D0CAFE);
   for (int round = 0; round < 40; ++round) {
@@ -114,6 +165,7 @@ TEST(SimdCpuFeaturesTest, LevelNamesAndOrdering) {
   EXPECT_EQ(simd::LevelName(simd::Level::kScalar), "scalar");
   EXPECT_EQ(simd::LevelName(simd::Level::kSse), "sse");
   EXPECT_EQ(simd::LevelName(simd::Level::kAvx2), "avx2");
+  EXPECT_EQ(simd::LevelName(simd::Level::kAvx512), "avx512");
   // The active level never exceeds what the CPU supports.
   EXPECT_LE(static_cast<int>(simd::ActiveLevel()),
             static_cast<int>(simd::DetectCpuLevel()));
@@ -125,6 +177,15 @@ TEST(SimdCpuFeaturesTest, KernelsForLevelClampsToCpu) {
             static_cast<int>(simd::DetectCpuLevel()));
   EXPECT_EQ(simd::KernelsForLevel(simd::Level::kScalar).level,
             simd::Level::kScalar);
+  // The widest tier resolves to itself on a CPU that has it, and to the
+  // detected tier on any other.
+  const simd::Level detected = simd::DetectCpuLevel();
+  EXPECT_EQ(simd::KernelsForLevel(simd::Level::kAvx512).level,
+            std::min(detected, simd::Level::kAvx512));
+  for (simd::Level level : AvailableLevels()) {
+    EXPECT_EQ(simd::KernelsForLevel(level).level, level)
+        << simd::LevelName(level);
+  }
 }
 
 TEST(SimdModeTest, ParseModeAcceptsAndRejects) {
@@ -176,20 +237,26 @@ TEST(SimdKernelTest, LowerBoundMatchesScalarOnEveryTier) {
   for (simd::Level level : AvailableLevels()) {
     const simd::Kernels& table = simd::KernelsForLevel(level);
     for (std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u,
-                          31u, 32u, 33u, 63u, 64u, 65u, 200u}) {
-      U32List sorted = RandomSortedSet(rng, n, 500);
-      // Probe below, above, at, and between every element.
-      U32List probes = {0, 0xFFFFFFFFu, 0x80000000u};
-      for (std::uint32_t v : sorted) {
-        probes.push_back(v);
-        if (v > 0) probes.push_back(v - 1);
-        if (v < 0xFFFFFFFFu) probes.push_back(v + 1);
-      }
-      for (std::uint32_t x : probes) {
-        EXPECT_EQ(table.lower_bound(sorted.data(), sorted.size(), x),
-                  simd::ScalarKernels().lower_bound(sorted.data(),
-                                                    sorted.size(), x))
-            << simd::LevelName(level) << " n=" << n << " x=" << x;
+                          31u, 32u, 33u, 63u, 64u, 65u, 200u, 127u, 128u,
+                          129u}) {
+      const U32List drawn = RandomSortedSet(rng, n, 500);
+      // The same shape at the bottom, middle and top of the uint32 range.
+      for (std::uint32_t base : {0u, 0x7FFFFF00u, 0xFFFFFE00u}) {
+        U32List sorted = drawn;
+        for (std::uint32_t& v : sorted) v += base;
+        // Probe below, above, at, and between every element.
+        U32List probes = {0, 0xFFFFFFFFu, 0x80000000u};
+        for (std::uint32_t v : sorted) {
+          probes.push_back(v);
+          if (v > 0) probes.push_back(v - 1);
+          if (v < 0xFFFFFFFFu) probes.push_back(v + 1);
+        }
+        for (std::uint32_t x : probes) {
+          EXPECT_EQ(table.lower_bound(sorted.data(), sorted.size(), x),
+                    simd::ScalarKernels().lower_bound(sorted.data(),
+                                                      sorted.size(), x))
+              << simd::LevelName(level) << " n=" << n << " x=" << x;
+        }
       }
     }
   }
@@ -223,6 +290,14 @@ TEST(SimdKernelTest, MatchAnyMatchesScalarOnEveryTier) {
       {{7, 0, 5}, {0, 0xFFFFFFFFu, 5, 9, 11, 13, 15, 17, 19}},
       {{0xFFFFFFFFu, 0x80000000u}, {0x80000000u, 1, 2, 3, 4, 5, 6, 7, 8}},
   };
+  // One 16-lane block of b holding both 0 and UINT32_MAX, followed by a
+  // masked tail of 1..17 lanes that holds neither.
+  for (std::uint32_t tail = 1; tail <= 17; ++tail) {
+    U32List b = {0xFFFFFFFFu, 0};
+    for (std::uint32_t i = 0; i < 14 + tail; ++i) b.push_back(100 + i);
+    cases.push_back({{0, 0xFFFFFFFFu, 7, 100 + 13 + tail}, b});
+    cases.push_back({{0, 7}, U32List(b.begin() + 2, b.end())});
+  }
   std::mt19937_64 rng(0xAB5E);
   for (int round = 0; round < 30; ++round) {
     U32List a = RandomSortedSet(rng, rng() % 20, 64);
