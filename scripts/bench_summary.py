@@ -273,10 +273,12 @@ def mutation_overhead(benchmarks):
 def cold_start_speedup(benchmarks):
     """prepare_ms / load_ms from the fig_coldstart export (or None).
 
-    ``coldstart/prepare`` rebuilds every structure from raw lists;
-    ``coldstart/load`` is Engine::LoadSnapshot mmap'ing the saved image.
-    The ratio is the whole point of the persistence layer — CI gates it
-    at >= 10x (docs/PERSISTENCE.md).
+    ``coldstart/prepare`` rebuilds every RanGroupScan structure from raw
+    lists; ``coldstart/load`` is Engine::LoadSnapshot mmap'ing the saved
+    image.  The ratio is the whole point of the persistence layer — CI
+    gates it at >= 10x (docs/PERSISTENCE.md).  The ``coldstart_planner``
+    pair (planner sets, plain arrays under the built-in constants) is
+    reported beside it as ``planner_*``, ungated.
     """
     def find(prefix):
         for b in benchmarks:
@@ -297,6 +299,13 @@ def cold_start_speedup(benchmarks):
     }
     counters = {k: load[k] for k in ("mapped_MiB", "sets") if k in load}
     section.update(counters)
+    planner_prepare = find("coldstart_planner/prepare")
+    planner_load = find("coldstart_planner/load")
+    if planner_prepare and planner_load:
+        section["planner_prepare_ms"] = round(planner_prepare["real_time"], 2)
+        section["planner_load_ms"] = round(planner_load["real_time"], 2)
+        section["planner_speedup"] = round(
+            planner_prepare["real_time"] / planner_load["real_time"], 2)
     return section
 
 

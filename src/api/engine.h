@@ -121,7 +121,9 @@ struct QueryStats {
   std::size_t elements_scanned = 0;
   /// Groups in the coarsest grouped input structure — an upper bound on
   /// the group combinations the randomized-partition algorithms probe.
-  /// 0 when the algorithm builds no group decomposition.
+  /// 0 when no input holds a group decomposition: the plain-array
+  /// algorithms, and planner sets built without the scan structure
+  /// (PlannerAlgorithm::builds_scan()).
   std::uint64_t groups_probed = 0;
   /// Result-set size (after any Limit).
   std::size_t result_size = 0;
@@ -338,14 +340,15 @@ struct EngineOptions {
   std::size_t expr_cache_bytes = 16u << 20;
   /// The space-budget dial (planner engines only; setting it on an
   /// explicit-spec engine throws std::invalid_argument).  0 — the default —
-  /// means unlimited: every Prepare builds the fast two-structure
-  /// representation.  A finite budget caps the total footprint of this
-  /// engine's prepared structures (shared across Engine copies): Prepare
-  /// keeps building uncompressed while the running total fits, then
-  /// switches to the ~4x-smaller compressed block representation
+  /// means unlimited: every Prepare builds the fast uncompressed
+  /// representation (api/planner.h).  A finite budget caps the total
+  /// footprint of this engine's prepared structures (shared across Engine
+  /// copies): Prepare keeps building uncompressed while the running total
+  /// fits, then switches to the compressed block representation
   /// (docs/COMPRESSION.md); PrepareBatch instead flips the sets with the
   /// best bytes-saved-per-predicted-microsecond greedily until the batch
-  /// fits.  Results are bitwise identical either way.
+  /// fits, skipping sets whose compressed form is not smaller.  Results
+  /// are bitwise identical either way.
   std::size_t space_budget_bytes = 0;
   /// Hot/small carve-out for the dial: sets smaller than this are always
   /// kept uncompressed (compression saves little absolute space and the

@@ -417,12 +417,36 @@ LoadedSnapshot Engine::LoadSnapshotSections(
             out.engine.algorithm_, adopt(ScanSet::ViewFlat(payload, record))));
         ++out.info.sets_zero_copy;
         break;
-      case storage::SetKind::kPlanned:
+      case storage::SetKind::kPlanned: {
+        // A planner engine's sets carry the scan structure exactly when
+        // the engine can plan a step that uses it; the loading engine's
+        // constants may differ from the saving one's.  A scan the engine
+        // cannot use stays unviewed; a scan it needs but the record lacks
+        // is built from the record's elements.
+        const auto* planner =
+            dynamic_cast<const PlannerAlgorithm*>(out.engine.algorithm_.get());
+        if (planner == nullptr) {
+          throw SnapshotError(SnapshotErrorCode::kCorrupt,
+                              "snapshot: planned set record in a "
+                              "non-planner snapshot");
+        }
+        const bool record_scan = PlannedSet::RecordHasScan(record);
+        if (planner->builds_scan() && !record_scan) {
+          const auto elems =
+              storage::ResolveSpan<Elem>(payload, record.elems, "elements");
+          out.sets.push_back(PreparedSet(
+              out.engine.algorithm_, std::shared_ptr<const PreprocessedSet>(
+                                         planner->Preprocess(elems))));
+          ++out.info.sets_rebuilt;
+          break;
+        }
         out.sets.push_back(PreparedSet(
             out.engine.algorithm_,
-            adopt(PlannedSet::ViewFlat(payload, record))));
+            adopt(PlannedSet::ViewFlat(payload, record,
+                                       planner->builds_scan()))));
         ++out.info.sets_zero_copy;
         break;
+      }
       case storage::SetKind::kElements: {
         if (const auto it = compressed.find(static_cast<std::uint32_t>(i));
             it != compressed.end()) {

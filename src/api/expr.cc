@@ -944,9 +944,10 @@ class Evaluator {
 
   /// The Section 6 t-threshold fast path: all children are immutable
   /// leaves whose grouped (ScanSet) structures share one permutation —
-  /// planner engines (PlannedSet carries a scan form) and explicit
-  /// RanGroupScan engines.  Count-merges the g-ordered arrays with
-  /// group-census pruning (core/threshold.h).
+  /// planner sets that carry a scan form and explicit RanGroupScan
+  /// engines.  Count-merges the g-ordered arrays with group-census
+  /// pruning (core/threshold.h).  Scan-less and compressed planner leaves
+  /// take the count-merge over their sorted arrays instead.
   bool EvalAtLeastGrouped(const ExprNode* n, ElemList* out) {
     const RanGroupScanIntersection* scan_algorithm = nullptr;
     if (ctx_.planner != nullptr) {
@@ -962,7 +963,7 @@ class Evaluator {
       if (c.kind() != ExprKind::kSet || c.leaf().is_mutable()) return false;
       const PreprocessedSet* raw = Access::set(c.leaf()).get();
       if (const auto* planned = dynamic_cast<const PlannedSet*>(raw)) {
-        if (!planned->has_plain()) return false;  // no ScanSet to count-merge
+        if (!planned->has_scan()) return false;  // no ScanSet to count-merge
         scans.push_back(planned->scan());
       } else if (dynamic_cast<const ScanSet*>(raw) != nullptr) {
         scans.push_back(raw);

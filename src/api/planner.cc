@@ -307,6 +307,49 @@ std::string QueryPlan::ToString() const {
 }
 
 // ---------------------------------------------------------------------------
+// PlannedSet flat layout.
+// ---------------------------------------------------------------------------
+
+void PlannedSet::WriteFlat(storage::PayloadWriter& payload,
+                           storage::SetRecord& record) const {
+  static_cast<const PlainSet*>(plain_.get())->WriteFlat(payload, record);
+  if (scan_ != nullptr) {
+    static_cast<const ScanSet*>(scan_.get())->WriteFlat(payload, record);
+  }
+  record.kind = static_cast<std::uint32_t>(storage::SetKind::kPlanned);
+}
+
+bool PlannedSet::RecordHasScan(const storage::SetRecord& record) {
+  if (record.m != 0) return true;
+  const auto empty = [](const storage::FlatRef& r) {
+    return r.offset == 0 && r.count == 0;
+  };
+  if (record.t != 0 || !empty(record.group_start) || !empty(record.images) ||
+      !empty(record.gvals)) {
+    throw storage::SnapshotError(
+        storage::SnapshotErrorCode::kCorrupt,
+        "PlannedSet: scan-less record (m = 0) with scan fields set");
+  }
+  return false;
+}
+
+std::unique_ptr<PlannedSet> PlannedSet::ViewFlat(
+    std::span<const std::byte> payload, const storage::SetRecord& record,
+    bool with_scan) {
+  std::unique_ptr<PlainSet> plain = PlainSet::ViewFlat(payload, record);
+  std::unique_ptr<ScanSet> scan;
+  if (with_scan) {
+    scan = ScanSet::ViewFlat(payload, record);
+    if (scan->size() != plain->size()) {
+      throw storage::SnapshotError(
+          storage::SnapshotErrorCode::kCorrupt,
+          "PlannedSet: scan and plain structures differ in size");
+    }
+  }
+  return std::make_unique<PlannedSet>(std::move(plain), std::move(scan));
+}
+
+// ---------------------------------------------------------------------------
 // PlannerAlgorithm.
 // ---------------------------------------------------------------------------
 
@@ -327,17 +370,45 @@ PlannerAlgorithm::PlannerAlgorithm(const Options& options)
     constants_ = process.constants;
     calibration_source_ = process.source;
   }
+  ResolveCandidates();
+}
+
+void PlannerAlgorithm::OverrideConstants(const CostConstants& constants,
+                                         std::string source) {
+  constants_ = constants;
+  calibration_source_ = std::move(source);
+  ResolveCandidates();
+}
+
+void PlannerAlgorithm::ResolveCandidates() {
+  // Both comparisons are monotone in floating point: with every constant
+  // of a candidate >= its counterpart's, its cost is >= on every step, and
+  // the counterpart (earlier in candidates_) wins every tie in Plan.
+  const CostConstants& c = constants_;
+  const bool scan_dominated =
+      c.scan_ns >= c.merge_ns && c.scan_result_ns >= c.result_ns;
+  const bool hashbin_dominated =
+      c.hashbin_ns >= c.gallop_ns && c.scan_result_ns >= c.result_ns;
+  candidates_.clear();
+  builds_scan_ = false;
   for (std::string_view name :
        {kMergeName, kSvsName, kScanName, kHashBinName}) {
+    if ((name == kScanName && scan_dominated) ||
+        (name == kHashBinName && hashbin_dominated)) {
+      continue;
+    }
     const AlgorithmDescriptor* d = AlgorithmRegistry::Global().Find(name);
-    if (d != nullptr && d->cost != nullptr) candidates_.push_back(d);
+    if (d == nullptr || d->cost == nullptr) continue;
+    candidates_.push_back(d);
+    if (!Chainable(name)) builds_scan_ = true;
   }
 }
 
 std::unique_ptr<PreprocessedSet> PlannerAlgorithm::Preprocess(
     std::span<const Elem> set) const {
-  return std::make_unique<PlannedSet>(merge_.Preprocess(set),
-                                      scan_.Preprocess(set));
+  return std::make_unique<PlannedSet>(
+      merge_.Preprocess(set),
+      builds_scan_ ? scan_.Preprocess(set) : nullptr);
 }
 
 std::unique_ptr<PreprocessedSet> PlannerAlgorithm::PreprocessCompressed(

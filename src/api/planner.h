@@ -8,7 +8,7 @@
 // database systems pick operators from a cost model:
 //
 //   fsi::Engine engine;                       // zero-config: the planner
-//   fsi::PreparedSet a = engine.Prepare(...); // builds plain + scan forms
+//   fsi::PreparedSet a = engine.Prepare(...); // builds the plain form
 //   fsi::PreparedSet b = engine.Prepare(...);
 //   fsi::ElemList r = engine.Query({&a, &b}).Materialize();
 //   fsi::QueryPlan plan = engine.Query({&a, &b}).Explain();
@@ -32,13 +32,18 @@
 //      deterministic) or FSI_PLANNER_CALIBRATION=<file.json> (loads a
 //      serialized calibration; see ToJson/FromJson).
 //
-// Execution: a PreparedSet of a planner engine holds *two* structures —
-// the PlainSet sorted array (serves Merge and SvS) and the RanGroupScan
-// block layout (serves RanGroupScan, and HashBin via its globally-sorted
-// g-value array, exactly as Hybrid does).  When every step picks the same
-// algorithm the query runs as one native k-way call; mixed plans run
-// step-by-step, later steps intersecting the sorted intermediate result
-// against the next PlainSet by merge or galloping.
+// Execution: a PreparedSet of a planner engine holds the PlainSet sorted
+// array (serves Merge and SvS) and, only when the engine's constants let a
+// candidate that needs it win, the RanGroupScan block layout (serves
+// RanGroupScan, and HashBin via its globally-sorted g-value array, exactly
+// as Hybrid does).  A candidate whose per-element and per-result constants
+// are both no lower than its plain counterpart's (RanGroupScan against
+// Merge, HashBin against SvS) can never be strictly cheaper on any step, so
+// the constructor drops it; with both dropped no set builds the scan
+// structure, and the plans stay exactly what they were.  When every step
+// picks the same algorithm the query runs as one native k-way call; mixed
+// plans run step-by-step, later steps intersecting the sorted
+// intermediate result against the next PlainSet by merge or galloping.
 //
 // The registry spec is "Planner"; fsi::Engine's default
 // constructor uses it, making the planner the zero-config path.
@@ -143,14 +148,17 @@ struct QueryPlan {
 
 /// The composite preprocessed form of one set under the planner.  Two
 /// representations exist behind this one type:
-///  - uncompressed (the default): the PlainSet sorted array plus the
-///    RanGroupScan block structure (`has_plain()` is true);
+///  - uncompressed (the default): the PlainSet sorted array
+///    (`has_plain()` is true), plus the RanGroupScan block structure
+///    exactly when the engine can plan a step that uses it
+///    (`has_scan()`, PlannerAlgorithm::builds_scan());
 ///  - compressed (picked by Engine's space-budget dial): a single
-///    CompressedScanSet block stream — no sorted array, ~4x smaller.
+///    CompressedScanSet block stream, no sorted array.
 /// Callers that need raw elements must check `has_plain()` first; the
 /// planner decodes compressed inputs on demand.
 class PlannedSet : public PreprocessedSet {
  public:
+  /// `scan` may be null: a set of an engine that never plans a scan step.
   PlannedSet(std::unique_ptr<PreprocessedSet> plain,
              std::unique_ptr<PreprocessedSet> scan)
       : plain_(std::move(plain)), scan_(std::move(scan)) {}
@@ -162,17 +170,26 @@ class PlannedSet : public PreprocessedSet {
   std::size_t size() const override {
     return plain_ ? plain_->size() : cscan_->size();
   }
+  /// Words of the structures this set holds (a scan-less set: its
+  /// elements' words).
   std::size_t SizeInWords() const override {
-    return plain_ ? plain_->SizeInWords() + scan_->SizeInWords()
-                  : cscan_->SizeInWords();
+    if (!plain_) return cscan_->SizeInWords();
+    return plain_->SizeInWords() + (scan_ ? scan_->SizeInWords() : 0);
   }
+  /// Groups of the grouped structure this set holds; 0 for a scan-less
+  /// uncompressed set.
   std::uint64_t NumGroups() const override {
-    return plain_ ? scan_->NumGroups() : cscan_->NumGroups();
+    if (!plain_) return cscan_->NumGroups();
+    return scan_ ? scan_->NumGroups() : 0;
   }
 
-  /// True for the uncompressed two-structure representation; false when
-  /// this set holds only the compressed block stream.
+  /// True for the uncompressed representation; false when this set holds
+  /// only the compressed block stream.
   bool has_plain() const { return plain_ != nullptr; }
+  /// True when the RanGroupScan structure was built beside the plain
+  /// array (the RanGroupScan/HashBin plan steps and the grouped t-of-k
+  /// path need it).
+  bool has_scan() const { return scan_ != nullptr; }
 
   const PreprocessedSet* plain() const { return plain_.get(); }
   const PreprocessedSet* scan() const { return scan_.get(); }
@@ -190,25 +207,30 @@ class PlannedSet : public PreprocessedSet {
     return e.empty() ? 0 : e.back();
   }
 
-  /// Appends both component structures to `payload` (kind kPlanned: the
-  /// PlainSet's elems ref plus the ScanSet's three refs and t/m).
+  /// Appends the uncompressed structures to `payload` (kind kPlanned: the
+  /// PlainSet's elems ref plus, when present, the ScanSet's three refs and
+  /// t/m; a scan-less set leaves the scan refs empty and m = 0, which no
+  /// real ScanSet has).
   void WriteFlat(storage::PayloadWriter& payload,
-                 storage::SetRecord& record) const {
-    static_cast<const PlainSet*>(plain_.get())->WriteFlat(payload, record);
-    static_cast<const ScanSet*>(scan_.get())->WriteFlat(payload, record);
-    record.kind = static_cast<std::uint32_t>(storage::SetKind::kPlanned);
-  }
+                 storage::SetRecord& record) const;
 
   /// Reconstructs a PlannedSet whose spans alias `payload` (zero-copy;
-  /// the backing bytes must outlive it).
+  /// the backing bytes must outlive it).  With `with_scan` the record must
+  /// carry a scan structure, which is viewed too; without it any scan
+  /// refs are ignored.  Malformed records throw
+  /// storage::SnapshotError(kCorrupt).
   static std::unique_ptr<PlannedSet> ViewFlat(
-      std::span<const std::byte> payload, const storage::SetRecord& record) {
-    return std::make_unique<PlannedSet>(PlainSet::ViewFlat(payload, record),
-                                        ScanSet::ViewFlat(payload, record));
-  }
+      std::span<const std::byte> payload, const storage::SetRecord& record,
+      bool with_scan);
+
+  /// True when a kPlanned record carries a scan structure (m != 0);
+  /// throws storage::SnapshotError(kCorrupt) for a scan-less record whose
+  /// scan fields are not all empty.
+  static bool RecordHasScan(const storage::SetRecord& record);
 
  private:
   std::unique_ptr<PreprocessedSet> plain_;
+  /// Null when the engine never plans a step that needs it.
   std::unique_ptr<PreprocessedSet> scan_;
   /// Compressed representation; mutually exclusive with plain_/scan_.
   std::unique_ptr<CompressedScanSet> cscan_;
@@ -243,8 +265,8 @@ class PlannerAlgorithm : public IntersectionAlgorithm {
 
   /// Builds the compressed representation of one set (the space-budget
   /// dial's long-tail choice): a PlannedSet holding only a Lowbits
-  /// CompressedScanSet — ~4x smaller than Preprocess's two structures,
-  /// decoded block-by-block at query time through the SIMD kernels.
+  /// CompressedScanSet, decoded block-by-block at query time through the
+  /// SIMD kernels.
   std::unique_ptr<PreprocessedSet> PreprocessCompressed(
       std::span<const Elem> set) const;
 
@@ -280,17 +302,29 @@ class PlannerAlgorithm : public IntersectionAlgorithm {
   /// "explicit" or "snapshot").
   std::string_view calibration_source() const { return calibration_source_; }
 
+  /// True when some remaining plan candidate (RanGroupScan, HashBin)
+  /// needs the scan structure, so Preprocess builds it beside the plain
+  /// array.  False when the constants make both dominated (see the header
+  /// comment).
+  bool builds_scan() const { return builds_scan_; }
+
   /// Replaces the machine constants after construction — the snapshot
   /// load path, which constructs with calibration=off (skipping the
   /// ~100 ms startup measurement) and then installs the constants stamped
-  /// into the snapshot.  Not thread-safe: call before the instance is
-  /// shared.
-  void OverrideConstants(const CostConstants& constants, std::string source) {
-    constants_ = constants;
-    calibration_source_ = std::move(source);
-  }
+  /// into the snapshot.  Re-derives the candidates and builds_scan().
+  /// Not thread-safe: call before the instance is shared.
+  void OverrideConstants(const CostConstants& constants, std::string source);
 
  private:
+  /// Resolves candidates_ and builds_scan_ from the registry and
+  /// constants_: RanGroupScan is dropped when it costs at least Merge on
+  /// every step (scan_ns >= merge_ns, scan_result_ns >= result_ns) and
+  /// HashBin when it costs at least SvS (hashbin_ns >= gallop_ns,
+  /// scan_result_ns >= result_ns).  Plan keeps a later candidate only
+  /// when it is strictly cheaper than Merge/SvS, which come first, so the
+  /// drop never changes a plan.
+  void ResolveCandidates();
+
   /// Decodes a compressed PlannedSet to its sorted raw elements (the
   /// mixed-plan and k==1 paths).
   void DecodeCompressed(const PlannedSet& set, ElemList* out) const;
@@ -303,9 +337,11 @@ class PlannerAlgorithm : public IntersectionAlgorithm {
   CompressedScanIntersection cscan_;
   /// Kernel table for the mixed-chain merge/gallop steps.
   const simd::Kernels* kernels_;
-  /// Registry descriptors of the executable portfolio (cost hook present),
-  /// resolved once at construction: Merge, SvS, RanGroupScan, HashBin.
+  /// Registry descriptors of the executable portfolio (cost hook present,
+  /// not dominated under constants_): Merge, SvS, then RanGroupScan and
+  /// HashBin when they can win.
   std::vector<const AlgorithmDescriptor*> candidates_;
+  bool builds_scan_ = false;
 };
 
 /// The explicit-spec pseudo-plan: a single-entry plan carrying the

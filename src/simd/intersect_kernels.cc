@@ -178,6 +178,54 @@ const LoadMask8Table kLoadMask8;
 // Bias making signed 32-bit compares order unsigned values.
 constexpr std::uint32_t kSignBias = 0x80000000u;
 
+// Block advance of the AVX2/SSE merges.  Below this long-over-short size
+// ratio which block advances is close to a coin flip, and the advance is
+// kept branch-free (the empty asm stops GCC from threading it back into a
+// branch, as in BlockMergeAvx512); from it on the long side advances on
+// most steps and a predicted branch is faster.  Tuned on a forced-tier
+// ratio sweep, see docs/ALGORITHMS.md.
+constexpr std::size_t kBranchFreeRatio = 8;
+
+inline bool Skewed(std::size_t na, std::size_t nb) {
+  return std::max(na, nb) >= kBranchFreeRatio * std::min(na, nb);
+}
+
+/// Short-side pairs of the block merges, whose shorter side holds at most
+/// `short_max` elements (one block).  Against a long side of at most
+/// kSmallLong blocks (the RanGroupScan group merges live here: expected
+/// group width ~8) MatchAny probes each short element against the whole
+/// long side.  Against a longer one each short element finds its place
+/// with a galloping probe from where the last one stopped (a monotone
+/// cursor), so the long side is read only around the probes, never
+/// rescanned.  Either way the matches come out in the sorted short side's
+/// order, ascending: the merge output.
+constexpr std::size_t kSmallLong = 4;
+
+template <void (*MatchAny)(const std::uint32_t*, std::size_t,
+                           const std::uint32_t*, std::size_t,
+                           std::vector<std::uint32_t>*),
+          std::size_t (*GallopGe)(const std::uint32_t*, std::size_t,
+                                  std::size_t, std::uint32_t)>
+void ShortSidePair(const std::uint32_t* a, std::size_t na,
+                   const std::uint32_t* b, std::size_t nb,
+                   std::size_t short_max, std::vector<std::uint32_t>* out) {
+  const bool a_short = na <= nb;
+  const std::uint32_t* s = a_short ? a : b;
+  const std::uint32_t* l = a_short ? b : a;
+  const std::size_t ns = a_short ? na : nb;
+  const std::size_t nl = a_short ? nb : na;
+  if (nl <= kSmallLong * short_max) {
+    MatchAny(s, ns, l, nl, out);
+    return;
+  }
+  std::size_t j = 0;
+  for (std::size_t i = 0; i < ns; ++i) {
+    j = GallopGe(l, nl, j, s[i]);
+    if (j == nl) return;
+    if (l[j] == s[i]) out->push_back(l[j++]);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // AVX2 tier: 8 x uint32 lanes.  Every function carries a target attribute,
 // so the translation unit builds at the baseline ISA and these bodies are
@@ -264,17 +312,9 @@ __attribute__((target("avx2"))) void IntersectPairAvx2(
     const std::uint32_t* a, std::size_t na, const std::uint32_t* b,
     std::size_t nb, std::vector<std::uint32_t>* out) {
   if (na == 0 || nb == 0) return;
-  // Short-side cases (the RanGroupScan group merges live here: expected
-  // group width ~8): probe each element of the shorter sorted side against
-  // the longer one with one broadcast-compare per 8 elements.  Emitting in
-  // the short side's order is ascending, exactly the merge output.
   constexpr std::size_t kShort = 16;
   if (na <= kShort || nb <= kShort) {
-    if (na <= nb) {
-      MatchAnyAvx2(a, na, b, nb, out);
-    } else {
-      MatchAnyAvx2(b, nb, a, na, out);
-    }
+    ShortSidePair<MatchAnyAvx2, GallopGeAvx2>(a, na, b, nb, kShort, out);
     return;
   }
   // Block-wise merge: compare an 8-element block of each list
@@ -288,6 +328,7 @@ __attribute__((target("avx2"))) void IntersectPairAvx2(
   std::uint32_t* dst = dst0;
   std::size_t ia = 0;
   std::size_t ib = 0;
+  const bool skewed = Skewed(na, nb);
   while (ia + 8 <= na && ib + 8 <= nb) {
     const __m256i va =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + ia));
@@ -308,8 +349,16 @@ __attribute__((target("avx2"))) void IntersectPairAvx2(
                 reinterpret_cast<const __m256i*>(kCompact8.idx[mask])));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), packed);
     dst += __builtin_popcount(static_cast<unsigned>(mask));
-    ia += (amax <= bmax) ? 8 : 0;
-    ib += (bmax <= amax) ? 8 : 0;
+    if (skewed) {
+      ia += (amax <= bmax) ? 8 : 0;
+      ib += (bmax <= amax) ? 8 : 0;
+    } else {
+      std::size_t a_step = amax <= bmax;
+      std::size_t b_step = bmax <= amax;
+      __asm__("" : "+r"(a_step), "+r"(b_step));
+      ia += a_step * 8;
+      ib += b_step * 8;
+    }
   }
   out->resize(base + static_cast<std::size_t>(dst - dst0));
   IntersectPairScalar(a + ia, na - ia, b + ib, nb - ib, out);
@@ -553,11 +602,7 @@ __attribute__((target("ssse3"))) void IntersectPairSse(
   if (na == 0 || nb == 0) return;
   constexpr std::size_t kShort = 8;
   if (na <= kShort || nb <= kShort) {
-    if (na <= nb) {
-      MatchAnySse(a, na, b, nb, out);
-    } else {
-      MatchAnySse(b, nb, a, na, out);
-    }
+    ShortSidePair<MatchAnySse, GallopGeSse>(a, na, b, nb, kShort, out);
     return;
   }
   const std::size_t base = out->size();
@@ -566,6 +611,7 @@ __attribute__((target("ssse3"))) void IntersectPairSse(
   std::uint32_t* dst = dst0;
   std::size_t ia = 0;
   std::size_t ib = 0;
+  const bool skewed = Skewed(na, nb);
   while (ia + 4 <= na && ib + 4 <= nb) {
     const __m128i va =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + ia));
@@ -587,8 +633,16 @@ __attribute__((target("ssse3"))) void IntersectPairSse(
         _mm_load_si128(reinterpret_cast<const __m128i*>(kCompact4.idx[mask])));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), packed);
     dst += __builtin_popcount(static_cast<unsigned>(mask));
-    ia += (amax <= bmax) ? 4 : 0;
-    ib += (bmax <= amax) ? 4 : 0;
+    if (skewed) {
+      ia += (amax <= bmax) ? 4 : 0;
+      ib += (bmax <= amax) ? 4 : 0;
+    } else {
+      std::size_t a_step = amax <= bmax;
+      std::size_t b_step = bmax <= amax;
+      __asm__("" : "+r"(a_step), "+r"(b_step));
+      ia += a_step * 4;
+      ib += b_step * 4;
+    }
   }
   out->resize(base + static_cast<std::size_t>(dst - dst0));
   IntersectPairScalar(a + ia, na - ia, b + ib, nb - ib, out);

@@ -21,7 +21,9 @@
 //                   longer list is 12x longer, 4) element block of the
 //                   shorter list against a 16-lane block of the longer.
 //                   Either way the block whose maximum is smaller advances
-//                   — the branch-light block merge.
+//                   — the branch-light block merge.  On SSE/AVX2 a short
+//                   side of at most one block meets a small long side
+//                   with match_any and a long one with a galloping cursor.
 //   lower_bound     index of the first element >= x.  The vector variants
 //                   binary-search down to a small window, then resolve it
 //                   with broadcast-compare + popcount instead of the final

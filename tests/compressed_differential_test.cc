@@ -25,6 +25,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -325,7 +326,17 @@ TEST(CompressedSnapshotTest, IndexOverBudgetedEngineRoundTrips) {
   }
   ElemList want_even_third;
   {
-    InvertedIndex index(CompressedEngine());
+    // Finalize's batch knapsack compresses a set only where that saves
+    // bytes.  Postings this short are smaller as a bare plain array than
+    // in Lowbits, so the engine's constants let RanGroupScan win and its
+    // sets carry the scan structure too.
+    PlannerAlgorithm::Options scan_wins;
+    scan_wins.scan.seed = kDefaultAlgorithmSeed;  // what Open rebuilds with
+    scan_wins.constants = CostConstants{};
+    scan_wins.constants->scan_ns = 0.1;
+    InvertedIndex index(Engine(std::make_unique<PlannerAlgorithm>(scan_wins),
+                               EngineOptions{.space_budget_bytes = 1,
+                                             .min_compress_size = 0}));
     for (std::size_t i = 0; i < docs.size(); ++i) {
       index.AddDocument(static_cast<Elem>(i + 1), docs[i]);
     }

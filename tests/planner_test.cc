@@ -9,13 +9,16 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "fsi.h"
 #include "index/inverted_index.h"
 #include "util/rng.h"
+#include "workload/corpus.h"
 #include "workload/synthetic.h"
 
 namespace fsi {
@@ -44,6 +47,29 @@ std::vector<PreparedSet> PrepareAll(const Engine& engine,
 // A deterministic planner engine for plan-shape tests: calibration=off pins
 // the built-in constants regardless of the environment.
 Engine DeterministicPlanner() { return Engine("Planner:calibration=off"); }
+
+// Constants under which RanGroupScan and HashBin can win a step (both beat
+// their plain counterparts per element or per result), so the engine's
+// sets carry the scan structure beside the plain array.
+CostConstants ScanWinningConstants() {
+  CostConstants rigged;
+  rigged.merge_ns = 1.0;
+  rigged.scan_ns = 0.1;
+  rigged.gallop_ns = 1.0;
+  rigged.hashbin_ns = 0.5;
+  rigged.scan_result_ns = 0.001;
+  return rigged;
+}
+
+Engine PlannerWith(const CostConstants& constants, EngineOptions options = {}) {
+  PlannerAlgorithm::Options o;
+  o.constants = constants;
+  return Engine(std::make_unique<PlannerAlgorithm>(o), options);
+}
+
+const PlannedSet& Planned(const PreparedSet& s) {
+  return dynamic_cast<const PlannedSet&>(*s.raw());
+}
 
 // ---------------------------------------------------------------------------
 // Registry cost hooks.
@@ -100,7 +126,8 @@ TEST(PlannerEngineTest, DefaultEngineIsThePlanner) {
 }
 
 TEST(PlannerEngineTest, PlannedSetExposesBothStructures) {
-  Engine engine = DeterministicPlanner();
+  // Only an engine that can plan a scan step builds the scan structure.
+  Engine engine = PlannerWith(ScanWinningConstants());
   PreparedSet a = engine.Prepare({10, 20, 30, 40, 50});
   EXPECT_EQ(a.size(), 5u);
   EXPECT_EQ(a.algorithm_name(), "Planner");
@@ -109,6 +136,134 @@ TEST(PlannerEngineTest, PlannedSetExposesBothStructures) {
   EXPECT_GT(planned->NumGroups(), 0u);  // the scan structure is present
   // The composite is strictly larger than the plain array alone.
   EXPECT_GT(a.SizeInWords(), (5 * sizeof(Elem) + 7) / 8);
+}
+
+TEST(PlannerEngineTest, CalibrationOffSetsHoldNoScan) {
+  // The built-in constants make RanGroupScan (0.7 >= 0.45, 60 >= 6) and
+  // HashBin (4.0 >= 3.0, 60 >= 6) cost at least Merge and SvS on every
+  // step, so neither is a candidate and no set pays for the scan form.
+  Engine engine = DeterministicPlanner();
+  const auto& planner =
+      dynamic_cast<const PlannerAlgorithm&>(engine.algorithm());
+  EXPECT_FALSE(planner.builds_scan());
+  Xoshiro256 rng(31);
+  for (std::size_t n : {1u, 5u, 999u, 40000u}) {
+    ElemList list = SampleSortedSet(n, 1 << 22, rng);
+    PreparedSet a = engine.Prepare(list);
+    const PlannedSet& planned = Planned(a);
+    EXPECT_TRUE(planned.has_plain());
+    EXPECT_FALSE(planned.has_scan());
+    EXPECT_EQ(planned.NumGroups(), 0u);
+    EXPECT_EQ(a.SizeInWords(), (n * sizeof(Elem) + 7) / 8) << n;
+  }
+}
+
+TEST(PlannerEngineTest, ScanWinningConstantsBuildScansAndPlanThem) {
+  Engine engine = PlannerWith(ScanWinningConstants());
+  const auto& planner =
+      dynamic_cast<const PlannerAlgorithm&>(engine.algorithm());
+  EXPECT_TRUE(planner.builds_scan());
+  Xoshiro256 rng(33);
+  // Balanced: RanGroupScan's 0.1 ns per element beats Merge's 1.0.
+  auto balanced = GenerateIntersectingSets({20000, 30000}, 700, 1 << 20, rng);
+  auto pb = PrepareAll(engine, balanced);
+  for (const PreparedSet& s : pb) EXPECT_TRUE(Planned(s).has_scan());
+  QueryPlan plan = engine.Query(pb).Explain();
+  ASSERT_EQ(plan.steps.size(), 1u);
+  EXPECT_EQ(plan.steps[0].algorithm, "RanGroupScan");
+  EXPECT_EQ(engine.Query(pb).Materialize(), GroundTruth(balanced));
+  // Heavily skewed: HashBin's 0.5 ns per probe beats SvS's 1.0.
+  auto skewed = GenerateIntersectingSets({60, 200000}, 7, 1 << 22, rng);
+  auto ps = PrepareAll(engine, skewed);
+  plan = engine.Query(ps).Explain();
+  ASSERT_EQ(plan.steps.size(), 1u);
+  EXPECT_EQ(plan.steps[0].algorithm, "HashBin");
+  EXPECT_EQ(engine.Query(ps).Materialize(), GroundTruth(skewed));
+  ElemList unordered = engine.Query(ps).Unordered().Materialize();
+  std::sort(unordered.begin(), unordered.end());
+  EXPECT_EQ(unordered, GroundTruth(skewed));
+  // Either win alone is enough to keep the scan structure.
+  CostConstants scan_only;
+  scan_only.scan_ns = 0.1;
+  EXPECT_TRUE(dynamic_cast<const PlannerAlgorithm&>(
+                  PlannerWith(scan_only).algorithm())
+                  .builds_scan());
+  CostConstants hashbin_only;
+  hashbin_only.hashbin_ns = 1.0;
+  EXPECT_TRUE(dynamic_cast<const PlannerAlgorithm&>(
+                  PlannerWith(hashbin_only).algorithm())
+                  .builds_scan());
+}
+
+TEST(PlannerEngineTest, AtLeastOverScanLessLeavesMatchesOracle) {
+  // Scan-less leaves take the count-merge path; scan-carrying leaves the
+  // grouped t-of-k path.  Both must match a std::set oracle.
+  Engine scanless = DeterministicPlanner();
+  Engine carrying = PlannerWith(ScanWinningConstants());
+  Xoshiro256 rng(35);
+  for (std::size_t k = 2; k <= 5; ++k) {
+    std::vector<ElemList> lists;
+    for (std::size_t i = 0; i < k; ++i) {
+      lists.push_back(SampleSortedSet(500 + 700 * i, 1 << 13, rng));
+    }
+    std::map<Elem, std::size_t> counts;
+    for (const ElemList& l : lists) {
+      for (Elem e : l) ++counts[e];
+    }
+    auto a = PrepareAll(scanless, lists);
+    auto b = PrepareAll(carrying, lists);
+    for (std::size_t t = 1; t <= k; ++t) {
+      std::set<Elem> oracle;
+      for (const auto& [e, c] : counts) {
+        if (c >= t) oracle.insert(e);
+      }
+      const ElemList want(oracle.begin(), oracle.end());
+      std::vector<Expr> ca;
+      std::vector<Expr> cb;
+      for (std::size_t i = 0; i < k; ++i) {
+        ca.push_back(Expr::Set(a[i]));
+        cb.push_back(Expr::Set(b[i]));
+      }
+      EXPECT_EQ(scanless.Query(Expr::AtLeast(t, ca)).Materialize(), want)
+          << "k=" << k << " t=" << t;
+      EXPECT_EQ(carrying.Query(Expr::AtLeast(t, cb)).Materialize(), want)
+          << "k=" << k << " t=" << t;
+    }
+  }
+}
+
+TEST(ExplainTest, ScanLessEngineExplainsLikeAScanCarryingOne) {
+  // Built-in constants, except a per-result scan constant just below
+  // result_ns: RanGroupScan and HashBin stay candidates (so the sets carry
+  // the scan structure), yet can never win — their per-element costs
+  // exceed the plain counterparts' by more than 0.001 ns * r can repay.
+  // Every plan of a generated log must match the scan-less engine's.
+  CostConstants near;
+  near.scan_result_ns = near.result_ns - 0.001;
+  Engine carrying = PlannerWith(near);
+  Engine scanless = DeterministicPlanner();
+  ASSERT_TRUE(dynamic_cast<const PlannerAlgorithm&>(carrying.algorithm())
+                  .builds_scan());
+  SyntheticCorpus corpus({.num_docs = 1 << 16, .vocabulary = 600});
+  QueryWorkload log(corpus, {.num_queries = 400});
+  std::vector<PreparedSet> with_scan;
+  std::vector<PreparedSet> without;
+  for (std::size_t t = 0; t < corpus.num_terms(); ++t) {
+    with_scan.push_back(carrying.Prepare(corpus.postings(t)));
+    without.push_back(scanless.Prepare(corpus.postings(t)));
+  }
+  for (const TermQuery& q : log.queries()) {
+    std::vector<const PreparedSet*> a;
+    std::vector<const PreparedSet*> b;
+    for (std::size_t t : q) {
+      a.push_back(&with_scan[t]);
+      b.push_back(&without[t]);
+    }
+    const std::string plan = scanless.Query(b).Explain().ToString();
+    ASSERT_EQ(carrying.Query(a).Explain().ToString(), plan);
+    EXPECT_EQ(carrying.Query(a).Materialize(), scanless.Query(b).Materialize())
+        << plan;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -535,17 +690,23 @@ TEST(SpaceBudgetTest, MinCompressSizeKeepsSmallSetsFast) {
 }
 
 TEST(SpaceBudgetTest, BatchPicksThePredictedCheapestSplit) {
+  // The split needs an uncompressed form larger than the compressed one.
+  // At these sizes the plain array alone (4 B/element) is smaller than
+  // Lowbits, so the engine carries the scan structure as well.
   Xoshiro256 rng(109);
   auto lists =
       GenerateIntersectingSets({1200, 2400, 4800, 9600}, 60, 1 << 21, rng);
   // Measure the uncompressed footprint first.
-  Engine unlimited = DeterministicPlanner();
+  Engine unlimited = PlannerWith(ScanWinningConstants());
   std::size_t full_bytes = 0;
   for (const PreparedSet& s : PrepareAll(unlimited, lists)) {
     full_bytes += s.SizeInWords() * sizeof(std::uint64_t);
   }
   // A mid-range budget: roughly half the uncompressed footprint.
-  Engine engine = BudgetPlanner(full_bytes / 2);
+  Engine engine = PlannerWith(
+      ScanWinningConstants(),
+      EngineOptions{.space_budget_bytes = full_bytes / 2,
+                    .min_compress_size = 0});
   std::vector<PreparedSet> prepared =
       engine.PrepareBatch(std::span<const ElemList>(lists));
   ASSERT_EQ(prepared.size(), lists.size());
@@ -555,6 +716,29 @@ TEST(SpaceBudgetTest, BatchPicksThePredictedCheapestSplit) {
   EXPECT_GT(compressed, 0u);
   EXPECT_LT(compressed, lists.size());
   EXPECT_LE(engine.SpaceUsedBytes(), full_bytes / 2);
+  EXPECT_EQ(engine.Query(prepared).Materialize(), GroundTruth(lists));
+}
+
+TEST(SpaceBudgetTest, BatchKeepsScanLessSetsWhereCompressionLoses) {
+  // Scan-less sets of these sizes are smaller than their Lowbits form, so
+  // the batch knapsack has nothing to gain and keeps every set fast.
+  Xoshiro256 rng(109);
+  auto lists =
+      GenerateIntersectingSets({1200, 2400, 4800, 9600}, 60, 1 << 21, rng);
+  Engine unlimited = DeterministicPlanner();
+  const auto& planner =
+      dynamic_cast<const PlannerAlgorithm&>(unlimited.algorithm());
+  std::size_t full_bytes = 0;
+  for (const ElemList& l : lists) {
+    PreparedSet s = unlimited.Prepare(l);
+    full_bytes += s.SizeInWords() * sizeof(std::uint64_t);
+    ASSERT_GE(planner.PreprocessCompressed(l)->SizeInWords(), s.SizeInWords());
+  }
+  Engine engine = BudgetPlanner(full_bytes / 2);
+  std::vector<PreparedSet> prepared =
+      engine.PrepareBatch(std::span<const ElemList>(lists));
+  for (const PreparedSet& s : prepared) EXPECT_FALSE(s.compressed());
+  EXPECT_EQ(engine.SpaceUsedBytes(), full_bytes);
   EXPECT_EQ(engine.Query(prepared).Materialize(), GroundTruth(lists));
 }
 

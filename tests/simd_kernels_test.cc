@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <random>
 #include <set>
 #include <string>
@@ -228,6 +229,67 @@ TEST(SimdKernelTest, IntersectPairMatchesScalarOnEveryTier) {
       ASSERT_GE(appended.size(), 1u);
       EXPECT_EQ(appended.front(), 42u);
       EXPECT_EQ(U32List(appended.begin() + 1, appended.end()), expect);
+    }
+  }
+}
+
+TEST(SimdKernelTest, ShortAgainstLongMatchesScalarOnEveryTier) {
+  // 1..17 short elements against long lists on both sides of the
+  // MatchAny/galloping cutover and at 100k, with no, some and boundary
+  // matches (the long list's first and last elements, values outside its
+  // range, and the uint32 extremes), in both argument orders.
+  std::mt19937_64 rng(0x5B0A7);
+  const simd::Kernels& scalar = simd::ScalarKernels();
+  for (std::size_t nl : {17u, 31u, 32u, 33u, 63u, 64u, 65u, 129u, 100000u}) {
+    U32List l = RandomSortedSet(rng, nl, 0xFFFFFFF0u);
+    l.front() = 0;
+    l.back() = 0xFFFFFFFFu;
+    l = SortedUnique(l);
+    const std::set<std::uint32_t> in_l(l.begin(), l.end());
+    for (std::size_t ns = 1; ns <= 17 && ns < l.size(); ++ns) {
+      U32List none;
+      while (none.size() < ns) {
+        const std::uint32_t x = static_cast<std::uint32_t>(rng());
+        if (in_l.count(x) == 0) none.push_back(x);
+        none = SortedUnique(none);
+      }
+      U32List some = none;
+      for (std::size_t i = 0; i < ns; i += 2) {
+        some[i] = l[std::uniform_int_distribution<std::size_t>(
+            0, l.size() - 1)(rng)];
+      }
+      some = SortedUnique(some);
+      U32List boundary = {l.front(), l.back()};
+      for (std::size_t i = 2; i < ns; ++i) {
+        boundary.push_back(i % 2 == 0 ? l[i / 2] : l[l.size() - 1 - i / 2]);
+      }
+      boundary = SortedUnique(boundary);
+      for (const U32List* s : {&none, &some, &boundary}) {
+        U32List oracle;
+        std::set_intersection(s->begin(), s->end(), l.begin(), l.end(),
+                              std::back_inserter(oracle));
+        if (s == &none) {
+          ASSERT_TRUE(oracle.empty());
+        }
+        if (s == &boundary) {
+          ASSERT_EQ(oracle, *s);
+        }
+        U32List expect;
+        scalar.intersect_pair(s->data(), s->size(), l.data(), l.size(),
+                              &expect);
+        ASSERT_EQ(expect, oracle);
+        for (simd::Level level : AvailableLevels()) {
+          const simd::Kernels& table = simd::KernelsForLevel(level);
+          U32List got;
+          table.intersect_pair(s->data(), s->size(), l.data(), l.size(), &got);
+          EXPECT_EQ(got, oracle) << simd::LevelName(level) << " |s|="
+                                 << s->size() << " |l|=" << l.size();
+          got.clear();
+          table.intersect_pair(l.data(), l.size(), s->data(), s->size(), &got);
+          EXPECT_EQ(got, oracle) << simd::LevelName(level) << " |l|="
+                                 << l.size() << " |s|=" << s->size();
+        }
+      }
     }
   }
 }

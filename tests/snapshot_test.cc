@@ -12,6 +12,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -515,6 +517,204 @@ TEST(SnapshotCalibrationTest, LoadedPlannerUsesStampedConstants) {
   EXPECT_EQ(loaded.info.spec, "Planner");
   EXPECT_EQ(loaded.engine.Query(loaded.sets).Materialize(), expected);
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Planner sets with and without the scan structure
+
+/// Copies a snapshot section by section through `edit` (section type,
+/// bytes), re-CRC'ing everything: images whose calibration or set table
+/// differs from what the saving engine wrote.
+void RewriteSnapshot(
+    const std::string& in, const std::string& out,
+    const std::function<void(std::uint32_t, std::vector<std::byte>*)>& edit) {
+  const std::vector<std::byte> file = ReadFileBytes(in);
+  storage::SnapshotReader reader(file);
+  std::ofstream os(out, std::ios::binary | std::ios::trunc);
+  storage::SnapshotWriter writer(os);
+  for (const storage::SectionEntry& e : reader.entries()) {
+    std::vector<std::byte> bytes(file.begin() + static_cast<long>(e.offset),
+                                 file.begin() +
+                                     static_cast<long>(e.offset + e.size));
+    edit(e.type, &bytes);
+    writer.AddSection(e.type, bytes, e.flags);
+  }
+  writer.Finish();
+}
+
+/// Rewrites the calibration section to `constants`.
+void Restamp(const std::string& in, const std::string& out,
+             const CostConstants& constants) {
+  PlannerCalibration calibration;
+  calibration.constants = constants;
+  calibration.source = "explicit";
+  const std::string json = calibration.ToJson();
+  RewriteSnapshot(in, out, [&](std::uint32_t type, std::vector<std::byte>* b) {
+    if (type != storage::kSectionCalibration) return;
+    const auto bytes = AsBytes(json);
+    b->assign(bytes.begin(), bytes.end());
+  });
+}
+
+/// Applies `edit` to the first record of the set table.
+void EditFirstRecord(const std::string& in, const std::string& out,
+                     const std::function<void(storage::SetRecord*)>& edit) {
+  RewriteSnapshot(in, out, [&](std::uint32_t type, std::vector<std::byte>* b) {
+    if (type != storage::kSectionSetTable) return;
+    storage::SetRecord record;
+    std::memcpy(&record, b->data(), sizeof(record));
+    edit(&record);
+    std::memcpy(b->data(), &record, sizeof(record));
+  });
+}
+
+/// Constants under which RanGroupScan wins balanced pairs, so a planner
+/// engine's sets carry the scan structure.
+CostConstants ScanWinning() {
+  CostConstants c;
+  c.scan_ns = 0.1;
+  return c;
+}
+
+Engine PlannerWith(const CostConstants& constants) {
+  PlannerAlgorithm::Options o;
+  o.constants = constants;
+  // The seed a loaded engine rebuilds its permutation from.
+  o.scan.seed = kDefaultAlgorithmSeed;
+  return Engine(std::make_unique<PlannerAlgorithm>(o));
+}
+
+const PlannedSet& Planned(const PreparedSet& s) {
+  return dynamic_cast<const PlannedSet&>(*s.raw());
+}
+
+class SnapshotPlannedTest : public testing::Test {
+ protected:
+  void SetUp() override {
+    Xoshiro256 rng(77);
+    lists_ = GenerateIntersectingSets({3000, 4000, 5000}, 90, 1u << 18, rng);
+    const std::string name =
+        testing::UnitTest::GetInstance()->current_test_info()->name();
+    path_ = TempPath("planned_" + name);
+    edited_ = path_ + ".edited";
+  }
+  void TearDown() override {
+    std::remove(path_.c_str());
+    std::remove(edited_.c_str());
+  }
+
+  /// Prepares lists_ on `engine`, saves them to path_ and returns the
+  /// expected intersection.
+  ElemList Save(const Engine& engine) {
+    std::vector<PreparedSet> prepared;
+    for (const auto& l : lists_) prepared.push_back(engine.Prepare(l));
+    engine.SaveSnapshot(path_, std::span<const PreparedSet>(prepared));
+    return engine.Query(prepared).Materialize();
+  }
+
+  /// The kind and m of every record in the image at `path`.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> Records(
+      const std::string& path) {
+    const std::vector<std::byte> file = ReadFileBytes(path);
+    storage::SnapshotReader reader(file);
+    const auto table =
+        reader.RequireSection(storage::kSectionSetTable, "set table");
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
+    for (std::size_t i = 0; i < table.size() / sizeof(storage::SetRecord);
+         ++i) {
+      storage::SetRecord r;
+      std::memcpy(&r, table.data() + i * sizeof(r), sizeof(r));
+      out.emplace_back(r.kind, r.m);
+    }
+    return out;
+  }
+
+  std::vector<ElemList> lists_;
+  std::string path_;
+  std::string edited_;
+};
+
+TEST_F(SnapshotPlannedTest, ScanLessImageRoundTripsZeroCopy) {
+  const ElemList expected = Save(Engine("Planner:calibration=off"));
+  for (const auto& [kind, m] : Records(path_)) {
+    EXPECT_EQ(kind, static_cast<std::uint32_t>(storage::SetKind::kPlanned));
+    EXPECT_EQ(m, 0u);  // no scan structure written
+  }
+  LoadedSnapshot loaded = Engine::LoadSnapshot(path_);
+  EXPECT_EQ(loaded.info.sets_zero_copy, lists_.size());
+  EXPECT_EQ(loaded.info.sets_rebuilt, 0u);
+  for (const PreparedSet& s : loaded.sets) {
+    EXPECT_FALSE(Planned(s).has_scan());
+    EXPECT_TRUE(Aliases(Planned(s).elems().data(), loaded.info));
+  }
+  EXPECT_EQ(loaded.engine.Query(loaded.sets).Materialize(), expected);
+  EXPECT_EQ(loaded.engine.Query(loaded.sets).Count(), expected.size());
+}
+
+TEST_F(SnapshotPlannedTest, ImageWithScanStillLoads) {
+  // A scan-carrying kPlanned image, the layout every planner image had
+  // before scan-less sets existed.
+  const ElemList expected = Save(PlannerWith(ScanWinning()));
+  for (const auto& [kind, m] : Records(path_)) {
+    EXPECT_EQ(kind, static_cast<std::uint32_t>(storage::SetKind::kPlanned));
+    EXPECT_GT(m, 0u);
+  }
+  {
+    LoadedSnapshot loaded = Engine::LoadSnapshot(path_);
+    EXPECT_EQ(loaded.info.sets_zero_copy, lists_.size());
+    for (const PreparedSet& s : loaded.sets) {
+      ASSERT_TRUE(Planned(s).has_scan());
+      const auto& scan = dynamic_cast<const ScanSet&>(*Planned(s).scan());
+      EXPECT_TRUE(Aliases(scan.gvals().data(), loaded.info));
+    }
+    EXPECT_EQ(loaded.engine.Query(loaded.sets).Explain().steps[0].algorithm,
+              "RanGroupScan");
+    EXPECT_EQ(loaded.engine.Query(loaded.sets).Materialize(), expected);
+  }
+  // Stamped with constants under which no scan step can win: the scan
+  // arrays are left unviewed and the sets load as plain arrays.
+  Restamp(path_, edited_, CostConstants{});
+  LoadedSnapshot loaded = Engine::LoadSnapshot(edited_);
+  EXPECT_EQ(loaded.info.sets_zero_copy, lists_.size());
+  EXPECT_EQ(loaded.info.sets_rebuilt, 0u);
+  for (const PreparedSet& s : loaded.sets) {
+    EXPECT_FALSE(Planned(s).has_scan());
+    EXPECT_EQ(s.SizeInWords(), (s.size() * sizeof(Elem) + 7) / 8);
+  }
+  EXPECT_EQ(loaded.engine.Query(loaded.sets).Materialize(), expected);
+}
+
+TEST_F(SnapshotPlannedTest, ScanLessImageUnderScanWinningConstantsRebuilds) {
+  const ElemList expected = Save(Engine("Planner:calibration=off"));
+  Restamp(path_, edited_, ScanWinning());
+  LoadedSnapshot loaded = Engine::LoadSnapshot(edited_);
+  EXPECT_EQ(loaded.info.sets_rebuilt, lists_.size());
+  EXPECT_EQ(loaded.info.sets_zero_copy, 0u);
+  for (const PreparedSet& s : loaded.sets) EXPECT_TRUE(Planned(s).has_scan());
+  Query query = loaded.engine.Query(loaded.sets);
+  EXPECT_EQ(query.Explain().steps[0].algorithm, "RanGroupScan");
+  EXPECT_EQ(query.Materialize(), expected);
+  ElemList unordered =
+      loaded.engine.Query(loaded.sets).Unordered().Materialize();
+  std::sort(unordered.begin(), unordered.end());
+  EXPECT_EQ(unordered, expected);
+}
+
+TEST_F(SnapshotPlannedTest, MalformedPlannedRecordsAreTypedErrors) {
+  Save(Engine("Planner:calibration=off"));
+  // m = 0 marks a scan-less record; scan refs beside it are corrupt.
+  EditFirstRecord(path_, edited_, [](storage::SetRecord* r) {
+    r->gvals = r->elems;
+  });
+  EXPECT_EQ(LoadErrorCode(edited_), SnapshotErrorCode::kCorrupt);
+  EditFirstRecord(path_, edited_, [](storage::SetRecord* r) { r->t = 3; });
+  EXPECT_EQ(LoadErrorCode(edited_), SnapshotErrorCode::kCorrupt);
+  // A scan whose size disagrees with the plain array's.
+  Save(PlannerWith(ScanWinning()));
+  EditFirstRecord(path_, edited_, [](storage::SetRecord* r) {
+    r->elems.count -= 1;
+  });
+  EXPECT_EQ(LoadErrorCode(edited_), SnapshotErrorCode::kCorrupt);
 }
 
 // ---------------------------------------------------------------------------
